@@ -21,16 +21,14 @@ from tracekit.engines import (
     MooreCoalgebra,
     StrangeCoalgebra,
     TreeCoalgebra,
-    cia_language,
     compare_semantics,
     determinise_bt,
-    em_language_bt,
-    em_language_ta,
+    em_language,
     kleisli_traces,
     logic_eval_strange,
     logic_eval_tree,
-    logic_language_generative,
-    logic_language_word,
+    logic_language,
+    step_view,
 )
 from tracekit.kernel import (
     CHECK,
@@ -112,6 +110,8 @@ def parse_output(v, modality: Modality, where: str):
 
 
 def _field(doc: dict, name: str, where: str = "machine"):
+    if not isinstance(doc, dict):
+        raise MachineFormatError(f"{where}: expected an object, got {type(doc).__name__}")
     if name not in doc:
         raise MachineFormatError(f"{where}: missing field {name!r}")
     return doc[name]
@@ -173,6 +173,8 @@ def parse_machine(path: str):
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise MachineFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise MachineFormatError(f"{path}: expected a JSON object at the top level")
     if doc.get("format") != FORMAT_VERSION:
         raise MachineFormatError(f"{path}: unsupported format {doc.get('format')!r}")
     kind_tag = _field(doc, "kind")
@@ -256,7 +258,13 @@ def _parse_tree_node(raw, signature: dict, states: Universe, where: str) -> tupl
 
 def _parse_tree(doc: dict) -> TreeCoalgebra:
     states = _universe(_field(doc, "states"), "states")
-    signature = {s: int(n) for s, n in _field(doc, "signature").items()}
+    signature = _field(doc, "signature")
+    if not isinstance(signature, dict):
+        raise MachineFormatError("signature: expected a symbol->arity map")
+    for s, n in signature.items():
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise MachineFormatError(f"signature[{s!r}]: expected a non-negative integer "
+                                     f"arity, got {n!r}")
     kind = _parse_monad(doc)
     alg = _parse_modality(doc)
     trans_doc = _field(doc, "transitions")
@@ -321,6 +329,8 @@ def _parse_io(doc: dict) -> IOSystem:
                 entries.append((k, tuple(_state(states, y, where) for y in targets)))
             trans[x] = frozenset(entries)
         else:
+            if not isinstance(raw, dict):
+                raise MachineFormatError(f"{where}: expected an operation->answers map")
             trans[x] = {}
             for k in operations:
                 row = raw.get(k, [])
@@ -343,12 +353,17 @@ def _parse_generalized(doc: dict) -> GeneralizedCoalgebra:
     for x in states:
         if x in semantic:
             spec = semantic[x]
-            depth = int(_field(spec, "depth", f"semantic_states[{x!r}]"))
-            table_raw = _field(spec, "table", f"semantic_states[{x!r}]")
+            where = f"semantic_states[{x!r}]"
+            depth = _field(spec, "depth", where)
+            if isinstance(depth, bool) or not isinstance(depth, int):
+                raise MachineFormatError(f"{where}: expected an integer depth, got {depth!r}")
+            table_raw = _field(spec, "table", where)
             table = {}
             for word, value in table_raw:
-                w = tuple(alphabet.require(a) for a in word)
-                table[w] = parse_output(value, alg, f"semantic_states[{x!r}]")
+                for a in word:
+                    if a not in alphabet:
+                        raise MachineFormatError(f"{where}: undeclared letter {a!r}")
+                table[tuple(word)] = parse_output(value, alg, where)
             try:
                 lang = TruncatedLanguage(alphabet, depth, table)
             except KernelError as e:
@@ -596,31 +611,23 @@ def _default_engine(machine) -> str:
 
 
 def _one_semantics(machine, x, depth: int, engine: str) -> dict:
-    if isinstance(machine, MooreCoalgebra):
-        if engine == "em":
-            return {"language": show_language(em_language_bt(machine, x, depth))}
-        if engine == "logic":
-            return {"language": show_language(logic_language_word(machine, x, depth))}
-    elif isinstance(machine, GenerativeCoalgebra):
-        if engine == "em":
-            return {"language": show_language(em_language_ta(machine, x, depth))}
-        if engine == "logic":
-            return {"language": show_language(logic_language_generative(machine, x, depth))}
-        if engine == "kleisli":
-            ts = kleisli_traces(machine, x, depth)
-            out = {"traces": show_trace_set(ts)}
-            if machine.kind is MonadKind.SUBDIST:
-                out["retained_mass"] = show_value(ts.retained_mass())
-            return out
-    elif isinstance(machine, TreeCoalgebra) and engine == "logic":
+    if (engine in ("em", "logic") and isinstance(machine, (MooreCoalgebra, GenerativeCoalgebra))
+            or engine == "cia" and isinstance(machine, GeneralizedCoalgebra)):
+        language = em_language if engine == "em" else logic_language
+        return {"language": show_language(language(step_view(machine), x, depth))}
+    if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
+        ts = kleisli_traces(machine, x, depth)
+        out = {"traces": show_trace_set(ts)}
+        if machine.kind is MonadKind.SUBDIST:
+            out["retained_mass"] = show_value(ts.retained_mass())
+        return out
+    if isinstance(machine, TreeCoalgebra) and engine == "logic":
         lang = TruncatedTreeLanguage.tabulate(machine.signature, max(depth, 1),
                                               lambda t: logic_eval_tree(machine, x, t))
         return {"tree_language": [[repr(t), lang.table[t]]
                                   for t in enumerate_trees(machine.signature, lang.depth)]}
-    elif isinstance(machine, StrangeCoalgebra) and engine == "logic":
+    if isinstance(machine, StrangeCoalgebra) and engine == "logic":
         return {"by_steps": [logic_eval_strange(machine, x, n) for n in range(depth + 1)]}
-    elif isinstance(machine, GeneralizedCoalgebra) and engine == "cia":
-        return {"language": show_language(cia_language(machine, x, depth))}
     raise MachineFormatError(
         f"engine {engine!r} does not apply to {type(machine).__name__}")
 

@@ -1,12 +1,24 @@
 """The three trace-semantics engines and the maps comparing them.
 
-* forward engine: run the branching state forward (generalised subset /
-  distribution construction) and collapse outputs at the end;
-* logical engine: evaluate one word/tree as a test, recursing on suffixes;
-* fixpoint engine: Kleene-iterate the complete-trace equations from bottom.
+Every word machine -- Moore, generative (through `laws.canonical_rho2`) and
+generalized -- is read through one `StepView`: an output and a per-letter
+branching step for each ordinary state, a ready-made language for each
+semantic state.  `step_view` builds it; two engines run on it:
 
-All three produce exactly equal truncated languages on the machine classes
-where the connecting laws hold; `compare_semantics` materialises that check.
+* forward engine (`em_eval`, `em_language`): run the branching state
+  forward (generalised subset / distribution construction) and collapse
+  outputs at the end;
+* logical engine (`logic_eval`, `logic_language`): evaluate one word as a
+  test, recursing on suffixes and looking the rest of the word up as soon as
+  a semantic state is reached (the CLI's `--engine cia` on generalized
+  machines);
+* fixpoint engine (`kleisli_traces`, collapsed by `kbar`): Kleene-iterate the
+  complete-trace equations of a generative machine from bottom.
+
+Tree and strange machines have their own logical evaluators
+(`logic_eval_tree`, `logic_eval_strange`).  The engines produce exactly equal
+truncated languages on the machine classes where the connecting laws hold;
+`compare_semantics` materialises that check.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from tracekit.languages import (
     TruncatedTraceSet,
     language_equal,
 )
+from tracekit.laws import canonical_rho2
 
 #: kind/modality pairs a machine may declare
 _ALLOWED = {
@@ -82,21 +95,16 @@ class MooreCoalgebra:
     def __post_init__(self):
         if (self.kind, self.alg) not in _ALLOWED:
             raise AlgebraMismatchError(f"{self.alg.value} does not evaluate {self.kind.value}")
+        out = {}
         for x in self.states:
             if x not in self.out:
                 raise KernelError(f"missing output for state {x!r}")
-            self.out[x] = _check_output(self.alg, self.out[x], f"out[{x!r}]")
+            out[x] = _check_output(self.alg, self.out[x], f"out[{x!r}]")
             row = self.trans.get(x)
             if row is None:
                 raise KernelError(f"missing transitions for state {x!r}")
-            for a in self.alphabet:
-                mv = row.get(a)
-                if mv is None:
-                    raise KernelError(f"missing transition ({x!r}, {a!r})")
-                if mv.kind is not self.kind:
-                    raise KernelError(f"transition ({x!r}, {a!r}) has kind {mv.kind.value}")
-                for y in _base_states(mv):
-                    self.states.require(y)
+            _check_row(self, x, row)
+        self.out = out  # normalised copy: the caller's dict is left as it was
 
     def succ(self, x, a) -> MonadValue:
         self.states.require(x)
@@ -108,6 +116,19 @@ def _base_states(mv: MonadValue):
     if mv.kind is MonadKind.DOUBLE_POW:
         return [y for s in mv.payload for y in s]
     return list(mv.support)
+
+
+def _check_row(m, x, row: dict) -> None:
+    """Every letter of `m` has a transition from `x` of `m`'s branching kind
+    into `m`'s states."""
+    for a in m.alphabet:
+        mv = row.get(a)
+        if mv is None:
+            raise KernelError(f"missing transition ({x!r}, {a!r})")
+        if mv.kind is not m.kind:
+            raise KernelError(f"transition ({x!r}, {a!r}) has kind {mv.kind.value}")
+        for y in _base_states(mv):
+            m.states.require(y)
 
 
 @dataclass
@@ -160,6 +181,8 @@ class TreeCoalgebra:
             mv = self.c.get(x)
             if mv is None:
                 raise KernelError(f"missing behaviour for state {x!r}")
+            if mv.kind is not self.kind:
+                raise KernelError(f"behaviour of {x!r} has kind {mv.kind.value}")
             for u in _base_states(mv) if self.kind is MonadKind.DOUBLE_POW else mv.support:
                 sym, kids = u
                 if sym not in self.signature:
@@ -211,9 +234,7 @@ class GeneralizedCoalgebra:
             elif tag == "node":
                 om, fam = body
                 _check_output(self.alg, om, f"out[{x!r}]")
-                for a in self.alphabet:
-                    for y in _base_states(fam[a]):
-                        self.states.require(y)
+                _check_row(self, x, fam)
             else:
                 raise KernelError(f"behaviour of {x!r} tagged {tag!r}")
 
@@ -222,35 +243,89 @@ class GeneralizedCoalgebra:
 
 
 # ---------------------------------------------------------------------------
+# step view: every word machine as one (output, step) pair
+
+
+@dataclass
+class StepView:
+    """A word machine as plain tables: `out[y]` and `trans[y][a]` for its
+    ordinary states, a ready-made language for each semantic state."""
+
+    states: Universe
+    alphabet: Universe
+    kind: MonadKind
+    alg: Modality
+    out: dict  # ordinary state -> output
+    trans: dict  # ordinary state -> letter -> MonadValue over states
+    semantic: dict  # semantic state -> TruncatedLanguage
+
+
+def step_view(machine) -> StepView:
+    """Moore machines as they are; generative machines through the law-checked
+    `canonical_rho2` (termination weight, per-label successors); generalized
+    machines with their semantic states kept as lookups."""
+    if isinstance(machine, MooreCoalgebra):
+        return StepView(machine.states, machine.alphabet, machine.kind, machine.alg,
+                        machine.out, machine.trans, {})
+    out: dict = {}
+    trans: dict = {}
+    if isinstance(machine, GenerativeCoalgebra):
+        rho2 = canonical_rho2(machine.kind, machine.labels)
+        for y in machine.states:
+            out[y], trans[y] = rho2(machine.c[y])
+        return StepView(machine.states, machine.labels, machine.kind, machine.alg,
+                        out, trans, {})
+    if isinstance(machine, GeneralizedCoalgebra):
+        semantic = {}
+        for y in machine.states:
+            tag, body = machine.c[y]
+            if tag == "lang":
+                semantic[y] = body
+            else:
+                out[y], trans[y] = body
+        return StepView(machine.states, machine.alphabet, machine.kind, machine.alg,
+                        out, trans, semantic)
+    raise KernelError(f"{type(machine).__name__} has no step view")
+
+
+# ---------------------------------------------------------------------------
 # forward (determinising) engine
 
 
-def em_eval_bt(m: MooreCoalgebra, x, word) -> object:
+def _check_forward(view: StepView) -> None:
+    if view.kind is MonadKind.DOUBLE_POW:
+        raise KernelError("forward evaluation needs a monad; use the logical engine")
+    if view.semantic:
+        raise KernelError("forward evaluation needs transitions at every state; "
+                          "use the logical engine for semantic states")
+
+
+def em_eval(view: StepView, x, word) -> object:
     """Run the branching state forward through `word`, then collapse outputs."""
-    if m.kind is MonadKind.DOUBLE_POW:
-        raise KernelError("forward evaluation needs a monad; use the logical engine")
-    u = monad_unit(m.kind, m.states.require(x))
+    _check_forward(view)
+    u = monad_unit(view.kind, view.states.require(x))
     for a in word:
-        m.alphabet.require(a)
-        u = monad_bind(m.kind, u, lambda y: m.trans[y][a])
-    return algebra_eval(m.alg, functor_map(m.kind, lambda y: m.out[y], u))
+        view.alphabet.require(a)
+        u = monad_bind(view.kind, u, lambda y: view.trans[y][a])
+    return algebra_eval(view.alg, functor_map(view.kind, view.out.__getitem__, u))
 
 
-def em_language_bt(m: MooreCoalgebra, x, depth: int) -> TruncatedLanguage:
+def em_language(view: StepView, x, depth: int) -> TruncatedLanguage:
     """Tabulated forward semantics, sharing the running value across prefixes."""
-    if m.kind is MonadKind.DOUBLE_POW:
-        raise KernelError("forward evaluation needs a monad; use the logical engine")
+    _check_forward(view)
+    if depth < 0:
+        raise KernelError("depth must be >= 0")
     table: dict = {}
 
     def walk(prefix: tuple, u: MonadValue):
-        table[prefix] = algebra_eval(m.alg, functor_map(m.kind, lambda y: m.out[y], u))
+        table[prefix] = algebra_eval(view.alg, functor_map(view.kind, view.out.__getitem__, u))
         if len(prefix) == depth:
             return
-        for a in m.alphabet:
-            walk(prefix + (a,), monad_bind(m.kind, u, lambda y: m.trans[y][a]))
+        for a in view.alphabet:
+            walk(prefix + (a,), monad_bind(view.kind, u, lambda y: view.trans[y][a]))
 
-    walk((), monad_unit(m.kind, m.states.require(x)))
-    return TruncatedLanguage(m.alphabet, depth, table)
+    walk((), monad_unit(view.kind, view.states.require(x)))
+    return TruncatedLanguage(view.alphabet, depth, table)
 
 
 @dataclass
@@ -294,51 +369,6 @@ def determinise_bt(m: MooreCoalgebra) -> DeterminisedMoore:
             if succ not in subsets:
                 agenda.append(succ)
     return DeterminisedMoore(m.alphabet, m.alg, subsets, out, trans)
-
-
-# ---------------------------------------------------------------------------
-# forward engine for generative machines
-
-
-def _step_value(gc: GenerativeCoalgebra, y, label) -> MonadValue:
-    """Successor branching of `y` restricted to moves emitting `label`."""
-    mv = gc.c[y]
-    if gc.kind is MonadKind.POW:
-        return pow_value(u.target for u in mv.payload
-                         if isinstance(u, Move) and u.label == label)
-    return sub_dist((u.target, w) for u, w in mv.payload
-                    if isinstance(u, Move) and u.label == label)
-
-
-def _accept_value(gc: GenerativeCoalgebra, y):
-    mv = gc.c[y]
-    if gc.kind is MonadKind.POW:
-        return any(isinstance(u, Done) for u in mv.payload)
-    return sum((w for u, w in mv.payload if isinstance(u, Done)), Fraction(0))
-
-
-def em_eval_ta(gc: GenerativeCoalgebra, x, word) -> object:
-    """Forward run over emitted labels, collapsed by the termination weight."""
-    u = monad_unit(gc.kind, gc.states.require(x))
-    for a in word:
-        gc.labels.require(a)
-        u = monad_bind(gc.kind, u, lambda y: _step_value(gc, y, a))
-    return algebra_eval(gc.alg, functor_map(gc.kind, lambda y: _accept_value(gc, y), u))
-
-
-def em_language_ta(gc: GenerativeCoalgebra, x, depth: int) -> TruncatedLanguage:
-    table: dict = {}
-
-    def walk(prefix: tuple, u: MonadValue):
-        table[prefix] = algebra_eval(gc.alg,
-                                     functor_map(gc.kind, lambda y: _accept_value(gc, y), u))
-        if len(prefix) == depth:
-            return
-        for a in gc.labels:
-            walk(prefix + (a,), monad_bind(gc.kind, u, lambda y: _step_value(gc, y, a)))
-
-    walk((), monad_unit(gc.kind, gc.states.require(x)))
-    return TruncatedLanguage(gc.labels, depth, table)
 
 
 # ---------------------------------------------------------------------------
@@ -403,47 +433,50 @@ def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
 # logical engine
 
 
-def logic_eval_word(m: MooreCoalgebra, x, word, memoize: bool = True) -> object:
-    """Evaluate one word as a test: recurse on the suffix under the modality.
-
-    Works for any branching kind, including double powerset.
-    """
-    m.states.require(x)
-    word = tuple(m.alphabet.require(a) for a in word)
+def _suffix_evaluator(view: StepView):
+    """The logical engine's recursion over one view, with its own memo: a
+    word's value at a state is the output on the empty word, the modality
+    over the successors' values on the rest, or a lookup at a semantic state."""
     memo: dict = {}
-
-    def ev(y, suffix: tuple):
-        key = (y, suffix)
-        if memoize and key in memo:
-            return memo[key]
-        if not suffix:
-            val = m.out[y]
-        else:
-            a, rest = suffix[0], suffix[1:]
-            val = algebra_eval(m.alg, functor_map(m.kind, lambda z: ev(z, rest),
-                                                  m.trans[y][a]))
-        if memoize:
-            memo[key] = val
-        return val
-
-    return ev(x, word)
-
-
-def logic_language_word(m: MooreCoalgebra, x, depth: int) -> TruncatedLanguage:
-    memo: dict = {}
+    kind, alg, out, trans, semantic = view.kind, view.alg, view.out, view.trans, view.semantic
 
     def ev(y, suffix: tuple):
         key = (y, suffix)
         if key not in memo:
-            if not suffix:
-                memo[key] = m.out[y]
+            lang = semantic.get(y)
+            if lang is not None:
+                if len(suffix) > lang.depth:
+                    raise KernelError(
+                        f"semantic state {y!r} (depth {lang.depth}) cannot answer "
+                        f"a residual word of length {len(suffix)}")
+                memo[key] = lang.value(suffix)
+            elif not suffix:
+                memo[key] = out[y]
             else:
-                a, rest = suffix[0], suffix[1:]
-                memo[key] = algebra_eval(m.alg, functor_map(m.kind, lambda z: ev(z, rest),
-                                                            m.trans[y][a]))
+                rest = suffix[1:]
+                memo[key] = algebra_eval(alg, functor_map(kind, lambda z: ev(z, rest),
+                                                          trans[y][suffix[0]]))
         return memo[key]
 
-    return TruncatedLanguage.tabulate(m.alphabet, depth, lambda w: ev(x, w))
+    return ev
+
+
+def logic_eval(view: StepView, x, word) -> object:
+    """Evaluate one word as a test, recursing on suffixes under the modality
+    and looking the rest of the word up at a semantic state.
+
+    Works for any branching kind, including double powerset.
+    """
+    view.states.require(x)
+    word = tuple(view.alphabet.require(a) for a in word)
+    return _suffix_evaluator(view)(x, word)
+
+
+def logic_language(view: StepView, x, depth: int) -> TruncatedLanguage:
+    """Tabulated logical semantics; one memo serves every word."""
+    view.states.require(x)
+    ev = _suffix_evaluator(view)
+    return TruncatedLanguage.tabulate(view.alphabet, depth, lambda w: ev(x, w))
 
 
 def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
@@ -464,40 +497,6 @@ def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
         return algebra_eval(tc.alg, functor_map(tc.kind, lambda node: match(node, t), tc.c[y]))
 
     return ev(tc.states.require(x), tree)
-
-
-def logic_eval_generative(gc: GenerativeCoalgebra, x, word) -> object:
-    """Test a word against a generative machine: match labels, end on a terminal."""
-    gc.states.require(x)
-    word = tuple(gc.labels.require(a) for a in word)
-    bot = omega_bot(gc.alg)
-    top = Fraction(1) if gc.alg is Modality.EXPECT else True
-    memo: dict = {}
-
-    def ev(y, suffix: tuple):
-        key = (y, suffix)
-        if key not in memo:
-            if not suffix:
-                memo[key] = algebra_eval(
-                    gc.alg, functor_map(gc.kind,
-                                        lambda u: top if isinstance(u, Done) else bot,
-                                        gc.c[y]))
-            else:
-                a, rest = suffix[0], suffix[1:]
-                memo[key] = algebra_eval(
-                    gc.alg, functor_map(gc.kind,
-                                        lambda u: (ev(u.target, rest)
-                                                   if isinstance(u, Move) and u.label == a
-                                                   else bot),
-                                        gc.c[y]))
-        return memo[key]
-
-    return ev(x, word)
-
-
-def logic_language_generative(gc: GenerativeCoalgebra, x, depth: int) -> TruncatedLanguage:
-    return TruncatedLanguage.tabulate(gc.labels, depth,
-                                      lambda w: logic_eval_generative(gc, x, w))
 
 
 def logic_eval_strange(sc: StrangeCoalgebra, x, n: int) -> bool:
@@ -524,43 +523,6 @@ def strange_to_generative(sc: StrangeCoalgebra, label: str = "a") -> GenerativeC
                        for u in sc.c[x].elements])
          for x in sc.states}
     return GenerativeCoalgebra(sc.states, Universe([label]), MonadKind.POW, c)
-
-
-# ---------------------------------------------------------------------------
-# evaluator for machines with semantic states
-
-
-def cia_eval(gen: GeneralizedCoalgebra, x, word) -> object:
-    """Unfold ordinary states one letter at a time; look the rest of the word
-    up as soon as a semantic state is reached."""
-    gen.states.require(x)
-    word = tuple(gen.alphabet.require(a) for a in word)
-    memo: dict = {}
-
-    def ev(y, suffix: tuple):
-        key = (y, suffix)
-        if key not in memo:
-            tag, body = gen.c[y]
-            if tag == "lang":
-                if len(suffix) > body.depth:
-                    raise KernelError(
-                        f"semantic state {y!r} (depth {body.depth}) cannot answer "
-                        f"a residual word of length {len(suffix)}")
-                memo[key] = body.value(suffix)
-            elif not suffix:
-                memo[key] = body[0]
-            else:
-                a, rest = suffix[0], suffix[1:]
-                memo[key] = algebra_eval(gen.alg,
-                                         functor_map(gen.kind, lambda z: ev(z, rest),
-                                                     body[1][a]))
-        return memo[key]
-
-    return ev(x, word)
-
-
-def cia_language(gen: GeneralizedCoalgebra, x, depth: int) -> TruncatedLanguage:
-    return TruncatedLanguage.tabulate(gen.alphabet, depth, lambda w: cia_eval(gen, x, w))
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +572,13 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
     is not).  Strange machines compare the stop-logic against trace sets.
     """
     if isinstance(machine, MooreCoalgebra):
-        if machine.kind is MonadKind.DOUBLE_POW:
-            langs = {"logic": {x: logic_language_word(machine, x, depth)
-                               for x in machine.states}}
-            return SemanticsReport("moore", depth, ["logic"], langs, [], True)
-        langs = {
-            "em": {x: em_language_bt(machine, x, depth) for x in machine.states},
-            "logic": {x: logic_language_word(machine, x, depth) for x in machine.states},
-        }
-        verdicts = _pairwise(["em", "logic"], langs, machine.states)
-        return SemanticsReport("moore", depth, ["em", "logic"], langs, verdicts,
+        view = step_view(machine)
+        langs = {}
+        if machine.kind is not MonadKind.DOUBLE_POW:
+            langs["em"] = {x: em_language(view, x, depth) for x in machine.states}
+        langs["logic"] = {x: logic_language(view, x, depth) for x in machine.states}
+        verdicts = _pairwise(list(langs), langs, machine.states)
+        return SemanticsReport("moore", depth, list(langs), langs, verdicts,
                                all(v.equal for v in verdicts))
 
     if isinstance(machine, GenerativeCoalgebra):
@@ -627,10 +586,10 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
             raise KernelError("language comparison needs a single terminal")
         terminal = machine.terminals.elements[0]
         traces = {x: kleisli_traces(machine, x, depth) for x in machine.states}
+        view = step_view(machine)
         langs = {
-            "em": {x: em_language_ta(machine, x, depth) for x in machine.states},
-            "logic": {x: logic_language_generative(machine, x, depth)
-                      for x in machine.states},
+            "em": {x: em_language(view, x, depth) for x in machine.states},
+            "logic": {x: logic_language(view, x, depth) for x in machine.states},
             "kleisli": {x: kbar(traces[x], machine.labels, depth, terminal)
                         for x in machine.states},
         }

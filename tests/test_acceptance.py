@@ -10,18 +10,17 @@ import time
 from tests import gen, oracles
 from tracekit import zoo
 from tracekit.engines import (
-    cia_eval,
     compare_semantics,
-    em_eval_bt,
-    em_language_bt,
-    em_language_ta,
+    em_eval,
+    em_language,
     kbar,
     kleisli_iterates,
     kleisli_traces,
+    logic_eval,
     logic_eval_strange,
     logic_eval_tree,
-    logic_language_generative,
-    logic_language_word,
+    logic_language,
+    step_view,
     strange_to_generative,
 )
 from tracekit.kernel import (
@@ -82,9 +81,10 @@ def test_criterion_1_moore_triangle():
     for config in gen.CONFIGS:
         for seed in range(N_MOORE):
             m = gen.random_moore(seed, config)
+            view = step_view(m)
             for x in m.states:
-                fwd = em_language_bt(m, x, DEPTH)
-                log = logic_language_word(m, x, DEPTH)
+                fwd = em_language(view, x, DEPTH)
+                log = logic_language(view, x, DEPTH)
                 for w in enumerate_words(m.alphabet, DEPTH):
                     if fwd.value(w) != log.value(w):
                         violations.append((config, seed, x, w))
@@ -98,9 +98,10 @@ def test_criterion_2_generative_triangle():
     for kind in (MonadKind.POW, MonadKind.SUBDIST):
         for seed in range(N_GENERATIVE):
             g = gen.random_generative(seed, kind)
+            view = step_view(g)
             for x in g.states:
-                fwd = em_language_ta(g, x, DEPTH)
-                log = logic_language_generative(g, x, DEPTH)
+                fwd = em_language(view, x, DEPTH)
+                log = logic_language(view, x, DEPTH)
                 viakbar = kbar(kleisli_traces(g, x, DEPTH), g.labels, DEPTH)
                 for w in enumerate_words(g.labels, DEPTH):
                     if not fwd.value(w) == log.value(w) == viakbar.value(w):
@@ -115,17 +116,19 @@ def test_criterion_3_oracle_equivalence():
     for config in ("nda-exists", "nda-forall"):
         for seed in range(N_MOORE):
             m = gen.random_moore(seed, config)
+            view = step_view(m)
             for x in m.states:
                 table = oracles.moore_language_by_paths(m, x, DEPTH)
-                engine = em_language_bt(m, x, DEPTH)
+                engine = em_language(view, x, DEPTH)
                 for w, expected in table.items():
                     if engine.value(w) != expected:
                         violations.append((config, seed, x, w))
     for seed in range(N_GENERATIVE):
         g = gen.random_generative(seed, MonadKind.POW)
+        view = step_view(g)
         for x in g.states:
             table = oracles.generative_language_by_paths(g, x, DEPTH)
-            engine = em_language_ta(g, x, DEPTH)
+            engine = em_language(view, x, DEPTH)
             for w, expected in table.items():
                 if engine.value(w) != expected:
                     violations.append(("generative", seed, x, w))
@@ -344,16 +347,17 @@ def test_criterion_9_cia_suite():
         for seed in range(N_GENERALIZED_PER_CONFIG):
             g = gen.random_generalized(seed, config, DEPTH)
             words = enumerate_words(g.alphabet, DEPTH)
+            view = step_view(g)
             for x in g.states:
                 for w in words:
-                    if cia_eval(g, x, w) != oracles.generalized_value(g, x, w):
+                    if logic_eval(view, x, w) != oracles.generalized_value(g, x, w):
                         violations.append((config, seed, x, w))
             if not g.semantic_states():
                 no_semantic_seen += 1
-                m = gen.random_moore(seed, config)
+                forward = step_view(gen.random_moore(seed, config))
                 for x in g.states:
                     for w in words:
-                        if cia_eval(g, x, w) != em_eval_bt(m, x, w):
+                        if logic_eval(view, x, w) != em_eval(forward, x, w):
                             violations.append((config, seed, x, w, "conservativity"))
     if no_semantic_seen == 0:
         violations.append(("no machine without semantic states in the sample",))

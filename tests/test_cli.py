@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tracekit import zoo
 from tracekit.cli import (
     MachineFormatError,
     main,
@@ -60,6 +61,58 @@ def test_parse_error_reports_line(tmp_path):
     p.write_text('{"format": 1,\n  "kind": }')
     with pytest.raises(MachineFormatError, match="line 2"):
         parse_machine(str(p))
+
+
+#: fixture, in-place edit (or replacement document), location the error must name
+MALFORMED = [
+    ("tree_fc", lambda d: d["signature"].update(c="zero"), "signature['c']"),
+    ("tree_fc", lambda d: d["signature"].update(c="2"), "signature['c']"),
+    ("io_reactive", lambda d: d["transitions"].update(s0=[["k", [["0", "s1"]]]]),
+     "transitions['s0']"),
+    ("nda_exists", lambda d: [d], "top level"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"].update(depth="x"),
+     "semantic_states['sL']: expected an integer depth"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"].update(depth="2"),
+     "semantic_states['sL']: expected an integer depth"),
+    ("generalized_lookup", lambda d: d["semantic_states"].update(sL=[]),
+     "semantic_states['sL']: expected an object"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append([["z"], True]),
+     "semantic_states['sL']: undeclared letter 'z'"),
+]
+
+
+@pytest.mark.parametrize("fixture, edit, location", MALFORMED,
+                         ids=["arity-not-int", "arity-string", "reactive-row-list",
+                              "top-level-array", "depth-not-int", "depth-string",
+                              "semantic-state-not-object", "undeclared-letter"])
+def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
+    doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
+    doc = edit(doc) or doc
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(MachineFormatError, match=re.escape(location)):
+        parse_machine(str(p))
+    assert main(["semantics", str(p), "--depth", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+#: fixtures with a twin in `zoo`; the io fixtures answer "0"/"1" where zoo answers 0/1
+ZOO_TWINS = {
+    "alternating": zoo.alternating_single,
+    "generalized_lookup": zoo.generalized_lookup,
+    "generative_ab": zoo.generative_ab,
+    "generative_half": zoo.generative_half,
+    "nda_exists": zoo.nda_exists,
+    "pa_chain": zoo.pa_chain,
+    "strange_pair": zoo.strange_pair,
+    "tree_fc": zoo.tree_fc,
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ZOO_TWINS))
+def test_fixture_matches_its_zoo_twin(fixture):
+    assert serialize_machine(parse_machine(f"{FIXTURES}/{fixture}.json")) == \
+        serialize_machine(ZOO_TWINS[fixture]())
 
 
 def test_round_trip_idempotent(tmp_path):

@@ -7,21 +7,21 @@ import pytest
 from tests import gen, oracles
 from tracekit import zoo
 from tracekit.engines import (
-    cia_eval,
+    GeneralizedCoalgebra,
+    MooreCoalgebra,
+    TreeCoalgebra,
     compare_semantics,
     determinise_bt,
-    em_eval_bt,
-    em_eval_ta,
-    em_language_bt,
-    em_language_ta,
+    em_eval,
+    em_language,
     kbar,
     kleisli_iterates,
     kleisli_traces,
-    logic_eval_generative,
+    logic_eval,
     logic_eval_strange,
     logic_eval_tree,
-    logic_eval_word,
-    logic_language_word,
+    logic_language,
+    step_view,
     strange_to_generative,
 )
 from tracekit.kernel import (
@@ -40,17 +40,41 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
+# machine constructors
+
+
+def test_moore_leaves_the_callers_outputs_unchanged():
+    out = {"u": 0, "v": 1}
+    p1 = zoo.pa_chain()
+    m = MooreCoalgebra(p1.states, p1.alphabet, p1.kind, p1.alg, out, p1.trans)
+    assert out == {"u": 0, "v": 1} and all(type(v) is int for v in out.values())
+    assert all(type(v) is Fraction for v in m.out.values())
+
+
+def test_node_values_must_match_branching_kind():
+    g = zoo.generalized_lookup()
+    _tag, (om, fam) = g.c["s0"]
+    c = dict(g.c, s0=("node", (om, dict(fam, a=sub_dist({"sL": F(1)})))))
+    with pytest.raises(KernelError, match="kind subdist"):
+        GeneralizedCoalgebra(g.states, g.alphabet, g.kind, g.alg, c)
+    t = zoo.tree_fc()
+    c = dict(t.c, x=sub_dist({("c", ()): F(1)}))
+    with pytest.raises(KernelError, match="kind subdist"):
+        TreeCoalgebra(t.states, t.signature, t.kind, t.alg, c)
+
+
+# ---------------------------------------------------------------------------
 # forward engine on the pinned machines
 
 
 def test_em_nda_examples():
-    n1 = zoo.nda_exists()
-    assert em_eval_bt(n1, "q0", ("a", "b")) is True
-    assert em_eval_bt(n1, "q0", ()) is False
+    n1 = step_view(zoo.nda_exists())
+    assert em_eval(n1, "q0", ("a", "b")) is True
+    assert em_eval(n1, "q0", ()) is False
 
 
 def test_em_nda_language_depth2():
-    lang = em_language_bt(zoo.nda_exists(), "q0", 2)
+    lang = em_language(step_view(zoo.nda_exists()), "q0", 2)
     assert dict(lang.items()) == {
         (): False, ("a",): True, ("b",): False,
         ("a", "a"): True, ("a", "b"): True, ("b", "a"): False, ("b", "b"): False,
@@ -58,22 +82,22 @@ def test_em_nda_language_depth2():
 
 
 def test_em_language_depth0_is_output():
-    n1 = zoo.nda_exists()
-    assert dict(em_language_bt(n1, "q1", 0).items()) == {(): True}
+    n1 = step_view(zoo.nda_exists())
+    assert dict(em_language(n1, "q1", 0).items()) == {(): True}
 
 
 def test_em_pa_examples():
-    p1 = zoo.pa_chain()
-    assert em_eval_bt(p1, "u", ("a", "a")) == F(3, 4)
-    assert dict(em_language_bt(p1, "u", 1).items()) == {(): F(0), ("a",): F(1, 2)}
+    p1 = step_view(zoo.pa_chain())
+    assert em_eval(p1, "u", ("a", "a")) == F(3, 4)
+    assert dict(em_language(p1, "u", 1).items()) == {(): F(0), ("a",): F(1, 2)}
 
 
 def test_em_unknown_state_and_letter():
-    n1 = zoo.nda_exists()
+    n1 = step_view(zoo.nda_exists())
     with pytest.raises(KernelError):
-        em_eval_bt(n1, "nope", ())
+        em_eval(n1, "nope", ())
     with pytest.raises(KernelError):
-        em_eval_bt(n1, "q0", ("z",))
+        em_eval(n1, "q0", ("z",))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +118,7 @@ def test_determinise_language_matches_forward():
     for x in n1.states:
         for d in range(4):
             eq, _ = language_equal(det.language(frozenset([x]), d),
-                                   em_language_bt(n1, x, d))
+                                   em_language(step_view(n1), x, d))
             assert eq
 
 
@@ -102,7 +126,6 @@ def test_determinise_deterministic_input_stays_singleton():
     base = zoo.nda_exists()
     first = list(base.states)[0]
     single = {x: {a: pow_value([first]) for a in base.alphabet} for x in base.states}
-    from tracekit.engines import MooreCoalgebra
     dm = MooreCoalgebra(base.states, base.alphabet, MonadKind.POW, Modality.JOIN,
                         dict(base.out), single)
     det = determinise_bt(dm)
@@ -119,10 +142,10 @@ def test_determinise_rejects_subdist():
 
 
 def test_em_ta_examples():
-    g1 = zoo.generative_ab()
-    assert em_eval_ta(g1, "p", ("a", "b")) is True
-    assert em_eval_ta(g1, "p", ()) is False
-    assert em_eval_ta(g1, "q", ()) is True
+    g1 = step_view(zoo.generative_ab())
+    assert em_eval(g1, "p", ("a", "b")) is True
+    assert em_eval(g1, "p", ()) is False
+    assert em_eval(g1, "q", ()) is True
 
 
 def test_kleisli_traces_examples():
@@ -157,7 +180,7 @@ def test_kbar_empty_trace_set():
 def test_kbar_triangle_with_forward_engine():
     g1 = zoo.generative_ab()
     eq, _ = language_equal(kbar(kleisli_traces(g1, "p", 2), g1.labels, 2),
-                           em_language_ta(g1, "p", 2))
+                           em_language(step_view(g1), "p", 2))
     assert eq
 
 
@@ -202,32 +225,24 @@ def test_kbar_respects_convex_combination():
 
 
 def test_logic_alternating_machine():
-    aa = zoo.alternating_single()
-    assert logic_eval_word(aa, "x", ("a",)) is False
-    assert logic_eval_word(aa, "x", ()) is False
-    assert logic_eval_word(aa, "y", ()) is True
+    aa = step_view(zoo.alternating_single())
+    assert logic_eval(aa, "x", ("a",)) is False
+    assert logic_eval(aa, "x", ()) is False
+    assert logic_eval(aa, "y", ()) is True
 
 
 def test_logic_matches_forward_on_nda():
-    n1 = zoo.nda_exists()
-    assert logic_eval_word(n1, "q0", ("a", "b")) is True
+    n1 = step_view(zoo.nda_exists())
+    assert logic_eval(n1, "q0", ("a", "b")) is True
     for x in n1.states:
-        eq, _ = language_equal(logic_language_word(n1, x, 3), em_language_bt(n1, x, 3))
+        eq, _ = language_equal(logic_language(n1, x, 3), em_language(n1, x, 3))
         assert eq
 
 
 def test_logic_epsilon_is_output():
     n1 = zoo.nda_exists()
     for x in n1.states:
-        assert logic_eval_word(n1, x, ()) == n1.out[x]
-
-
-def test_logic_memoized_equals_plain():
-    n1 = zoo.nda_exists()
-    for x in n1.states:
-        for w in enumerate_words(n1.alphabet, 3):
-            assert logic_eval_word(n1, x, w, memoize=True) == \
-                logic_eval_word(n1, x, w, memoize=False)
+        assert logic_eval(step_view(n1), x, ()) == n1.out[x]
 
 
 def test_logic_tree_examples():
@@ -245,10 +260,10 @@ def test_logic_tree_arity_mismatch():
 
 
 def test_logic_generative_examples():
-    g1 = zoo.generative_ab()
-    assert logic_eval_generative(g1, "p", ("a", "b")) is True
-    assert logic_eval_generative(g1, "q", ()) is True
-    assert logic_eval_generative(g1, "p", ("b",)) is False
+    g1 = step_view(zoo.generative_ab())
+    assert logic_eval(g1, "p", ("a", "b")) is True
+    assert logic_eval(g1, "q", ()) is True
+    assert logic_eval(g1, "p", ("b",)) is False
 
 
 def test_logic_strange_examples():
@@ -274,25 +289,25 @@ def test_strange_separation():
 
 
 def test_cia_direct_lookup():
-    g = zoo.generalized_lookup()
-    assert cia_eval(g, "sL", ("b",)) is True
-    assert cia_eval(g, "sL", ("a",)) is False
+    g = step_view(zoo.generalized_lookup())
+    assert logic_eval(g, "sL", ("b",)) is True
+    assert logic_eval(g, "sL", ("a",)) is False
 
 
 def test_cia_one_step_then_lookup():
-    g = zoo.generalized_lookup()
-    assert cia_eval(g, "s0", ("a", "b")) is True
-    assert cia_eval(g, "s0", ("a", "a")) is False
+    g = step_view(zoo.generalized_lookup())
+    assert logic_eval(g, "s0", ("a", "b")) is True
+    assert logic_eval(g, "s0", ("a", "a")) is False
 
 
 def test_cia_depth_underflow():
-    g = zoo.generalized_lookup()
+    g = step_view(zoo.generalized_lookup())
     # residual of length 2 still fits the depth-2 semantic language
-    assert cia_eval(g, "s0", ("a", "b", "b")) is False
+    assert logic_eval(g, "s0", ("a", "b", "b")) is False
     with pytest.raises(KernelError):
-        cia_eval(g, "s0", ("a", "a", "a", "a"))
+        logic_eval(g, "s0", ("a", "a", "a", "a"))
     with pytest.raises(KernelError):
-        cia_eval(g, "sL", ("a", "a", "a"))
+        logic_eval(g, "sL", ("a", "a", "a"))
 
 
 def test_cia_conservative_without_semantic_states():
@@ -302,9 +317,10 @@ def test_cia_conservative_without_semantic_states():
             g = gen.random_generalized(seed, config, 3)
             ordinary = [x for x in g.states if g.c[x][0] == "node"]
             if not any(g.c[x][0] == "lang" for x in g.states):
+                gv, mv = step_view(g), step_view(m)
                 for x in ordinary:
                     for w in enumerate_words(m.alphabet, 3):
-                        assert cia_eval(g, x, w) == em_eval_bt(m, x, w)
+                        assert logic_eval(gv, x, w) == em_eval(mv, x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +389,11 @@ def test_compare_strange_flags_collapse():
 def test_random_moore_engines_and_oracle(config):
     for seed in range(25):
         m = gen.random_moore(seed, config)
+        view = step_view(m)
         for x in m.states:
             for w in enumerate_words(m.alphabet, 3):
-                em = em_eval_bt(m, x, w)
-                assert em == logic_eval_word(m, x, w)
+                em = em_eval(view, x, w)
+                assert em == logic_eval(view, x, w)
                 assert em == oracles.moore_value(m, x, w)
 
 
@@ -385,11 +402,12 @@ def test_random_generative_engines_and_oracle(kind):
     for seed in range(25):
         g = gen.random_generative(seed, kind)
         traces = {x: kleisli_traces(g, x, 3) for x in g.states}
+        view = step_view(g)
         for x in g.states:
             lang = kbar(traces[x], g.labels, 3)
             for w in enumerate_words(g.labels, 3):
-                em = em_eval_ta(g, x, w)
-                assert em == logic_eval_generative(g, x, w)
+                em = em_eval(view, x, w)
+                assert em == logic_eval(view, x, w)
                 assert em == lang.value(w)
                 if kind is MonadKind.POW:
                     assert em == oracles.generative_value(g, x, w)
