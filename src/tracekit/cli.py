@@ -160,6 +160,16 @@ def _parse_branching(kind: MonadKind, raw, states: Universe, where: str) -> Mona
     return double_pow([_state(states, y, where) for y in s] for s in raw)
 
 
+def _pairs(raw, where: str) -> list:
+    """A JSON list whose entries are two-element lists."""
+    if not isinstance(raw, list):
+        raise MachineFormatError(f"{where}: expected a list of pairs, got {raw!r}")
+    for e in raw:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise MachineFormatError(f"{where}: expected a pair, got {e!r}")
+    return raw
+
+
 def _state(states: Universe, y, where: str):
     if y not in states:
         raise MachineFormatError(f"{where}: undeclared state {y!r}")
@@ -236,9 +246,10 @@ def _parse_generative(doc: dict) -> GenerativeCoalgebra:
             c[x] = pow_value(_parse_generative_entry(e, where, labels, states, terminals)
                              for e in raw)
         else:
+            rows = _pairs(raw, where)
             try:
                 c[x] = sub_dist((_parse_generative_entry(e, where, labels, states, terminals),
-                                 parse_rational(w, where)) for e, w in raw)
+                                 parse_rational(w, where)) for e, w in rows)
             except KernelError as e:
                 raise MachineFormatError(f"{where}: {e}") from None
     try:
@@ -275,9 +286,10 @@ def _parse_tree(doc: dict) -> TreeCoalgebra:
         if kind is MonadKind.POW:
             c[x] = pow_value(_parse_tree_node(n, signature, states, where) for n in raw)
         elif kind is MonadKind.SUBDIST:
+            rows = _pairs(raw, where)
             try:
                 c[x] = sub_dist((_parse_tree_node(n, signature, states, where),
-                                 parse_rational(w, where)) for n, w in raw)
+                                 parse_rational(w, where)) for n, w in rows)
             except KernelError as e:
                 raise MachineFormatError(f"{where}: {e}") from None
         else:
@@ -333,7 +345,10 @@ def _parse_io(doc: dict) -> IOSystem:
                 raise MachineFormatError(f"{where}: expected an operation->answers map")
             trans[x] = {}
             for k in operations:
-                row = raw.get(k, [])
+                row = _pairs(raw.get(k, []), f"{where}[{k!r}]")
+                for i, _y in row:
+                    if i not in arities[k]:
+                        raise MachineFormatError(f"{where}[{k!r}]: undeclared answer {i!r}")
                 trans[x][k] = frozenset((i, _state(states, y, where)) for i, y in row)
     try:
         return IOSystem(states, IOSignature(operations, arities), mode, trans)
@@ -359,7 +374,9 @@ def _parse_generalized(doc: dict) -> GeneralizedCoalgebra:
                 raise MachineFormatError(f"{where}: expected an integer depth, got {depth!r}")
             table_raw = _field(spec, "table", where)
             table = {}
-            for word, value in table_raw:
+            for word, value in _pairs(table_raw, f"{where}['table']"):
+                if not isinstance(word, list):
+                    raise MachineFormatError(f"{where}: expected a word as a list, got {word!r}")
                 for a in word:
                     if a not in alphabet:
                         raise MachineFormatError(f"{where}: undeclared letter {a!r}")
@@ -572,7 +589,10 @@ def _require_depth(options) -> int:
     depth = options.get("depth")
     if depth is None:
         raise MachineFormatError("--depth is required for this command")
-    return int(depth)
+    depth = int(depth)
+    if depth < 0:
+        raise MachineFormatError(f"--depth must be >= 0, got {depth}")
+    return depth
 
 
 def _load(options):
@@ -594,10 +614,10 @@ def _cmd_semantics(options) -> dict:
     machine = _load(options)
     depth = _require_depth(options)
     engine = options.get("engine") or _default_engine(machine)
-    results = []
-    for x in _states_in_scope(machine, options):
-        results.append({"state": x, **_one_semantics(machine, x, depth, engine)})
-    return {"engine": engine, "depth": depth, "results": results}
+    states = _states_in_scope(machine, options)
+    entries = _semantics(machine, states, depth, engine)
+    return {"engine": engine, "depth": depth,
+            "results": [{"state": x, **entries[x]} for x in states]}
 
 
 def _default_engine(machine) -> str:
@@ -610,24 +630,36 @@ def _default_engine(machine) -> str:
     return "em"
 
 
-def _one_semantics(machine, x, depth: int, engine: str) -> dict:
+def _semantics(machine, states: list, depth: int, engine: str) -> dict:
+    """Report entry of each state in scope, from one step view and one
+    whole-machine result where the engine has one."""
     if (engine in ("em", "logic") and isinstance(machine, (MooreCoalgebra, GenerativeCoalgebra))
             or engine == "cia" and isinstance(machine, GeneralizedCoalgebra)):
-        language = em_language if engine == "em" else logic_language
-        return {"language": show_language(language(step_view(machine), x, depth))}
+        view = step_view(machine)
+        if engine == "em":
+            langs = {x: em_language(view, x, depth) for x in states}
+        else:
+            langs = logic_language(view, depth, states)
+        return {x: {"language": show_language(langs[x])} for x in states}
     if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
-        ts = kleisli_traces(machine, x, depth)
-        out = {"traces": show_trace_set(ts)}
-        if machine.kind is MonadKind.SUBDIST:
-            out["retained_mass"] = show_value(ts.retained_mass())
+        traces = kleisli_traces(machine, depth)
+        out = {}
+        for x in states:
+            out[x] = {"traces": show_trace_set(traces[x])}
+            if machine.kind is MonadKind.SUBDIST:
+                out[x]["retained_mass"] = show_value(traces[x].retained_mass())
         return out
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
-        lang = TruncatedTreeLanguage.tabulate(machine.signature, max(depth, 1),
-                                              lambda t: logic_eval_tree(machine, x, t))
-        return {"tree_language": [[repr(t), lang.table[t]]
-                                  for t in enumerate_trees(machine.signature, lang.depth)]}
+        out = {}
+        for x in states:
+            lang = TruncatedTreeLanguage.tabulate(machine.signature, max(depth, 1),
+                                                  lambda t: logic_eval_tree(machine, x, t))
+            out[x] = {"tree_language": [[repr(t), lang.table[t]]
+                                        for t in enumerate_trees(machine.signature, lang.depth)]}
+        return out
     if isinstance(machine, StrangeCoalgebra) and engine == "logic":
-        return {"by_steps": [logic_eval_strange(machine, x, n) for n in range(depth + 1)]}
+        tables = logic_eval_strange(machine, depth)
+        return {x: {"by_steps": list(tables[x])} for x in states}
     raise MachineFormatError(
         f"engine {engine!r} does not apply to {type(machine).__name__}")
 
@@ -723,7 +755,7 @@ def _cmd_strategies(options) -> dict:
 
 
 def _cmd_counterexample(options) -> dict:
-    depth = int(options.get("depth") or 6)
+    depth = 6 if options.get("depth") is None else _require_depth(options)
     machine = zoo.strange_pair()
     rep = compare_semantics(machine, depth)
     return {

@@ -7,18 +7,21 @@ semantic state.  `step_view` builds it; two engines run on it:
 
 * forward engine (`em_eval`, `em_language`): run the branching state
   forward (generalised subset / distribution construction) and collapse
-  outputs at the end;
+  outputs at the end.  It runs per start state: the running value depends
+  on where it started, so states share nothing;
 * logical engine (`logic_eval`, `logic_language`): evaluate one word as a
   test, recursing on suffixes and looking the rest of the word up as soon as
   a semantic state is reached (the CLI's `--engine cia` on generalized
-  machines);
+  machines).  `logic_language` tabulates every state from one suffix memo;
 * fixpoint engine (`kleisli_traces`, collapsed by `kbar`): Kleene-iterate the
-  complete-trace equations of a generative machine from bottom.
+  complete-trace equations of a generative machine from bottom; one chain
+  gives the trace sets of every state.
 
 Tree and strange machines have their own logical evaluators
-(`logic_eval_tree`, `logic_eval_strange`).  The engines produce exactly equal
-truncated languages on the machine classes where the connecting laws hold;
-`compare_semantics` materialises that check.
+(`logic_eval_tree` per state and tree; `logic_eval_strange` for every state
+from one memo).  Whole-machine results are `{state: value}` maps.  The
+engines produce exactly equal truncated languages on the machine classes
+where the connecting laws hold; `compare_semantics` materialises that check.
 """
 
 from __future__ import annotations
@@ -401,11 +404,13 @@ def kleisli_iterates(gc: GenerativeCoalgebra, depth: int, n_iters: int) -> list[
     return chain
 
 
-def kleisli_traces(gc: GenerativeCoalgebra, x, depth: int) -> TruncatedTraceSet:
-    """Exact set/subdistribution of complete traces of length <= depth from x."""
-    gc.states.require(x)
-    chain = kleisli_iterates(gc, depth, depth + 1)
-    return TruncatedTraceSet(gc.kind, depth, chain[depth + 1][x])
+def kleisli_traces(gc: GenerativeCoalgebra, depth: int) -> dict:
+    """Exact set/subdistribution of complete traces of length <= depth, for
+    every state, read off one Kleene chain."""
+    if depth < 0:
+        raise KernelError("depth must be >= 0")
+    last = kleisli_iterates(gc, depth, depth + 1)[-1]
+    return {x: TruncatedTraceSet(gc.kind, depth, last[x]) for x in gc.states}
 
 
 def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
@@ -472,11 +477,18 @@ def logic_eval(view: StepView, x, word) -> object:
     return _suffix_evaluator(view)(x, word)
 
 
-def logic_language(view: StepView, x, depth: int) -> TruncatedLanguage:
-    """Tabulated logical semantics; one memo serves every word."""
-    view.states.require(x)
+def logic_language(view: StepView, depth: int, states=None) -> dict:
+    """Tabulated logical semantics of every state, or of `states` only; one
+    memo serves every state and word.
+
+    A semantic state answers words only up to its own depth, so some states
+    may have a language at `depth` while the machine as a whole has none;
+    `states` asks for just those.
+    """
     ev = _suffix_evaluator(view)
-    return TruncatedLanguage.tabulate(view.alphabet, depth, lambda w: ev(x, w))
+    states = view.states if states is None else [view.states.require(x) for x in states]
+    return {x: TruncatedLanguage.tabulate(view.alphabet, depth, lambda w: ev(x, w))
+            for x in states}
 
 
 def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
@@ -499,11 +511,11 @@ def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
     return ev(tc.states.require(x), tree)
 
 
-def logic_eval_strange(sc: StrangeCoalgebra, x, n: int) -> bool:
-    """True iff the state can stop outright, or some successor can within n steps."""
-    if n < 0:
-        raise KernelError("step count must be >= 0")
-    sc.states.require(x)
+def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:
+    """For every state, whether it can stop within n steps, for n = 0..depth:
+    it can stop outright, or some successor can within n - 1; one memo."""
+    if depth < 0:
+        raise KernelError("depth must be >= 0")
     memo: dict = {}
 
     def ev(y, k: int) -> bool:
@@ -514,7 +526,7 @@ def logic_eval_strange(sc: StrangeCoalgebra, x, n: int) -> bool:
                 k > 0 and any(ev(z, k - 1) for z in succ if z != STAR))
         return memo[key]
 
-    return ev(x, n)
+    return {x: tuple(ev(x, n) for n in range(depth + 1)) for x in sc.states}
 
 
 def strange_to_generative(sc: StrangeCoalgebra, label: str = "a") -> GenerativeCoalgebra:
@@ -576,7 +588,7 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         langs = {}
         if machine.kind is not MonadKind.DOUBLE_POW:
             langs["em"] = {x: em_language(view, x, depth) for x in machine.states}
-        langs["logic"] = {x: logic_language(view, x, depth) for x in machine.states}
+        langs["logic"] = logic_language(view, depth)
         verdicts = _pairwise(list(langs), langs, machine.states)
         return SemanticsReport("moore", depth, list(langs), langs, verdicts,
                                all(v.equal for v in verdicts))
@@ -585,11 +597,11 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         if len(machine.terminals) != 1:
             raise KernelError("language comparison needs a single terminal")
         terminal = machine.terminals.elements[0]
-        traces = {x: kleisli_traces(machine, x, depth) for x in machine.states}
+        traces = kleisli_traces(machine, depth)
         view = step_view(machine)
         langs = {
             "em": {x: em_language(view, x, depth) for x in machine.states},
-            "logic": {x: logic_language(view, x, depth) for x in machine.states},
+            "logic": logic_language(view, depth),
             "kleisli": {x: kbar(traces[x], machine.labels, depth, terminal)
                         for x in machine.states},
         }
@@ -607,9 +619,8 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
 
     if isinstance(machine, StrangeCoalgebra):
         gc = strange_to_generative(machine)
-        logic_tables = {x: tuple(logic_eval_strange(machine, x, n) for n in range(depth + 1))
-                        for x in machine.states}
-        traces = {x: kleisli_traces(gc, x, depth) for x in machine.states}
+        logic_tables = logic_eval_strange(machine, depth)
+        traces = kleisli_traces(gc, depth)
         witnesses = []
         verdicts = []
         states = list(machine.states)

@@ -82,9 +82,10 @@ def test_criterion_1_moore_triangle():
         for seed in range(N_MOORE):
             m = gen.random_moore(seed, config)
             view = step_view(m)
+            logs = logic_language(view, DEPTH)
             for x in m.states:
                 fwd = em_language(view, x, DEPTH)
-                log = logic_language(view, x, DEPTH)
+                log = logs[x]
                 for w in enumerate_words(m.alphabet, DEPTH):
                     if fwd.value(w) != log.value(w):
                         violations.append((config, seed, x, w))
@@ -99,10 +100,12 @@ def test_criterion_2_generative_triangle():
         for seed in range(N_GENERATIVE):
             g = gen.random_generative(seed, kind)
             view = step_view(g)
+            logs = logic_language(view, DEPTH)
+            traces = kleisli_traces(g, DEPTH)
             for x in g.states:
                 fwd = em_language(view, x, DEPTH)
-                log = logic_language(view, x, DEPTH)
-                viakbar = kbar(kleisli_traces(g, x, DEPTH), g.labels, DEPTH)
+                log = logs[x]
+                viakbar = kbar(traces[x], g.labels, DEPTH)
                 for w in enumerate_words(g.labels, DEPTH):
                     if not fwd.value(w) == log.value(w) == viakbar.value(w):
                         violations.append((kind.value, seed, x, w))
@@ -126,13 +129,14 @@ def test_criterion_3_oracle_equivalence():
     for seed in range(N_GENERATIVE):
         g = gen.random_generative(seed, MonadKind.POW)
         view = step_view(g)
+        traces = kleisli_traces(g, DEPTH)
         for x in g.states:
             table = oracles.generative_language_by_paths(g, x, DEPTH)
             engine = em_language(view, x, DEPTH)
             for w, expected in table.items():
                 if engine.value(w) != expected:
                     violations.append(("generative", seed, x, w))
-            got = set(kleisli_traces(g, x, DEPTH).payload.support)
+            got = set(traces[x].payload.support)
             want = set(oracles.generative_traces(g, x, DEPTH))
             if got != want:
                 violations.append(("generative-traces", seed, x))
@@ -255,11 +259,11 @@ def test_criterion_5_counterexample_reproduction():
     violations = []
     sr = zoo.strange_pair()
     for n in range(7):
-        if logic_eval_strange(sr, "x", n) != logic_eval_strange(sr, "y", n):
+        if logic_eval_strange(sr, n)["x"][n] != logic_eval_strange(sr, n)["y"][n]:
             violations.append(("logic differs", n))
     gc = strange_to_generative(sr)
-    tx = kleisli_traces(gc, "x", 6).payload
-    ty = kleisli_traces(gc, "y", 6).payload
+    tx = kleisli_traces(gc, 6)["x"].payload
+    ty = kleisli_traces(gc, 6)["y"].payload
     if tx != pow_value([((), CHECK)]):
         violations.append(("x traces", tx))
     if ty != pow_value([(("a",) * k, CHECK) for k in range(7)]):

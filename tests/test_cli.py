@@ -1,11 +1,13 @@
 """Machine-file parsing, report determinism, command behaviour, DOT output."""
 
+import glob
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
-from tracekit import zoo
+from tracekit import engines, zoo
 from tracekit.cli import (
     MachineFormatError,
     main,
@@ -13,7 +15,8 @@ from tracekit.cli import (
     run_command,
     serialize_machine,
 )
-from tracekit.engines import MooreCoalgebra
+from tracekit.engines import GenerativeCoalgebra, MooreCoalgebra, compare_semantics
+from tracekit.kernel import CHECK, Done, KernelError, MonadKind, Move, Universe, sub_dist
 
 FIXTURES = "machines"
 
@@ -33,7 +36,6 @@ def test_parse_moore_fixture():
 
 
 def test_parse_every_fixture():
-    import glob
     for path in sorted(glob.glob(f"{FIXTURES}/*.json")):
         parse_machine(path)
 
@@ -78,13 +80,32 @@ MALFORMED = [
      "semantic_states['sL']: expected an object"),
     ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append([["z"], True]),
      "semantic_states['sL']: undeclared letter 'z'"),
+    ("io_reactive", lambda d: d["transitions"]["s0"].update(k=[["0"]]),
+     "transitions['s0']['k']: expected a pair"),
+    ("io_reactive", lambda d: d["transitions"]["s0"].update(k=[[["0"], "s1"]]),
+     "transitions['s0']['k']: undeclared answer"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append([["a"]]),
+     "semantic_states['sL']['table']: expected a pair"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append(5),
+     "semantic_states['sL']['table']: expected a pair"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append([5, True]),
+     "semantic_states['sL']: expected a word as a list"),
+    ("generative_half", lambda d: d["transitions"]["p"].append("✓"),
+     "transitions['p']: expected a pair"),
+    ("tree_fc", lambda d: d.update(monad="subdist", modality="expect",
+                                   transitions={"x": ["c"], "y": ["c"]}),
+     "transitions['x']: expected a pair"),
 ]
 
 
 @pytest.mark.parametrize("fixture, edit, location", MALFORMED,
                          ids=["arity-not-int", "arity-string", "reactive-row-list",
                               "top-level-array", "depth-not-int", "depth-string",
-                              "semantic-state-not-object", "undeclared-letter"])
+                              "semantic-state-not-object", "undeclared-letter",
+                              "reactive-entry-not-pair", "reactive-answer-list",
+                              "semantic-entry-not-pair", "semantic-entry-number",
+                              "semantic-word-number",
+                              "generative-entry-not-pair", "tree-entry-not-pair"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -116,7 +137,6 @@ def test_fixture_matches_its_zoo_twin(fixture):
 
 
 def test_round_trip_idempotent(tmp_path):
-    import glob
     for path in sorted(glob.glob(f"{FIXTURES}/*.json")):
         m = parse_machine(path)
         doc = serialize_machine(m)
@@ -164,6 +184,90 @@ def test_semantics_cia_and_tree_and_strange():
     assert rep["engine"] == "logic"
     rep = run_command("semantics", machine=f"{FIXTURES}/strange_pair.json", depth=3)
     assert rep["results"][0]["by_steps"] == [True, True, True, True]
+
+
+FIXTURE_NAMES = sorted(p.rsplit("/", 1)[-1][:-5] for p in glob.glob(f"{FIXTURES}/*.json"))
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+@pytest.mark.parametrize("engine", [None, "em", "kleisli", "logic", "cia"])
+def test_semantics_state_scope_picks_the_whole_machine_entry(fixture, engine):
+    path = f"{FIXTURES}/{fixture}.json"
+    states = list(parse_machine(path).states)
+    try:
+        whole = run_command("semantics", machine=path, depth=2, engine=engine)
+    except KernelError as e:  # the engine does not apply to this machine
+        for x in states:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                run_command("semantics", machine=path, depth=2, engine=engine, state=x)
+        return
+    by_state = {r["state"]: r for r in whole["results"]}
+    assert list(by_state) == states
+    for x in states:
+        one = run_command("semantics", machine=path, depth=2, engine=engine, state=x)
+        assert one["results"] == [by_state[x]]
+
+
+def test_semantics_state_scope_needs_only_that_states_depth():
+    # sL answers words up to length 2; s0 reaches it after one letter
+    path = f"{FIXTURES}/generalized_lookup.json"
+    with pytest.raises(KernelError, match="cannot answer"):
+        run_command("semantics", machine=path, depth=3)
+    rep = run_command("semantics", machine=path, depth=3, state="s0")
+    assert len(rep["results"][0]["language"]) == 15
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(engines, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engines, name, counted)
+    return calls
+
+
+def test_one_chain_and_one_memo_per_machine(monkeypatch):
+    chains = _count_calls(monkeypatch, "kleisli_iterates")
+    memos = _count_calls(monkeypatch, "_suffix_evaluator")
+    half = F(1, 2)
+    g = GenerativeCoalgebra(
+        Universe(["p", "q", "r"]), Universe(["a", "b"]), MonadKind.SUBDIST,
+        {"p": sub_dist({Move("a", "q"): half, Move("b", "r"): half}),
+         "q": sub_dist({Move("a", "r"): half, Done(CHECK): half}),
+         "r": sub_dist({Move("b", "p"): half, Done(CHECK): F(1, 4)})})
+    assert compare_semantics(g, 3).all_equal
+    assert (len(chains), len(memos)) == (1, 1)
+    run_command("counterexample")
+    assert len(chains) == 2
+    run_command("semantics", machine=f"{FIXTURES}/generative_ab.json", depth=3,
+                engine="kleisli")
+    assert len(chains) == 3
+    run_command("semantics", machine=f"{FIXTURES}/nda_exists.json", depth=3, engine="logic")
+    assert len(memos) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["semantics", f"{FIXTURES}/nda_exists.json"],
+    ["semantics", f"{FIXTURES}/generative_ab.json", "--engine", "kleisli"],
+    ["semantics", f"{FIXTURES}/strange_pair.json"],
+    ["compare", f"{FIXTURES}/generative_ab.json"],
+    ["compare", f"{FIXTURES}/strange_pair.json"],
+    ["strategies", f"{FIXTURES}/io_self_loop.json"],
+    ["counterexample"],
+], ids=lambda argv: "-".join(a.rsplit("/", 1)[-1] for a in argv))
+def test_negative_depth_is_rejected(argv, capsys):
+    assert main(argv + ["--depth", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("error: --depth must be >= 0")
+
+
+def test_counterexample_depth_defaults_only_when_absent():
+    assert run_command("counterexample")["depth"] == 6
+    rep = run_command("counterexample", depth=0)
+    assert rep["depth"] == 0
+    assert rep["logic_by_steps"] == {"x": [True], "y": [True]}
 
 
 def test_compare_command():

@@ -150,22 +150,22 @@ def test_em_ta_examples():
 
 def test_kleisli_traces_examples():
     g1 = zoo.generative_ab()
-    ts = kleisli_traces(g1, "p", 2)
+    ts = kleisli_traces(g1, 2)["p"]
     assert ts.payload == pow_value([(("a",), CHECK), (("a", "a"), CHECK),
                                     (("a", "b"), CHECK)])
-    assert kleisli_traces(g1, "q", 0).payload == pow_value([((), CHECK)])
+    assert kleisli_traces(g1, 0)["q"].payload == pow_value([((), CHECK)])
 
 
 def test_kleisli_traces_subdist_exact():
     gh = zoo.generative_half()
-    ts = kleisli_traces(gh, "p", 1)
+    ts = kleisli_traces(gh, 1)["p"]
     assert ts.payload == sub_dist({((), CHECK): F(1, 2), (("a",), CHECK): F(1, 4)})
     assert ts.retained_mass() == F(3, 4)
 
 
 def test_kbar_characteristic():
     g1 = zoo.generative_ab()
-    lang = kbar(kleisli_traces(g1, "p", 2), g1.labels, 2)
+    lang = kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2)
     true_words = {w for w, v in lang.items() if v}
     assert true_words == {("a",), ("a", "a"), ("a", "b")}
 
@@ -179,7 +179,7 @@ def test_kbar_empty_trace_set():
 
 def test_kbar_triangle_with_forward_engine():
     g1 = zoo.generative_ab()
-    eq, _ = language_equal(kbar(kleisli_traces(g1, "p", 2), g1.labels, 2),
+    eq, _ = language_equal(kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2),
                            em_language(step_view(g1), "p", 2))
     assert eq
 
@@ -194,8 +194,8 @@ def test_kbar_rejects_foreign_terminal():
 def test_kbar_is_a_join_morphism():
     g1 = zoo.generative_ab()
     A = g1.labels
-    s1 = kleisli_traces(g1, "p", 2)
-    s2 = kleisli_traces(g1, "q", 2)
+    s1 = kleisli_traces(g1, 2)["p"]
+    s2 = kleisli_traces(g1, 2)["q"]
     from tracekit.languages import TruncatedTraceSet
     union = TruncatedTraceSet(MonadKind.POW, 2,
                               pow_value(s1.payload.payload + s2.payload.payload))
@@ -208,8 +208,8 @@ def test_kbar_is_a_join_morphism():
 def test_kbar_respects_convex_combination():
     gh = zoo.generative_half()
     A = gh.labels
-    s1 = kleisli_traces(gh, "p", 2)
-    s2 = kleisli_traces(gh, "q", 2)
+    s1 = kleisli_traces(gh, 2)["p"]
+    s2 = kleisli_traces(gh, 2)["q"]
     half = F(1, 2)
     mixed = sub_dist([(t, half * w) for t, w in s1.payload.payload]
                      + [(t, half * w) for t, w in s2.payload.payload])
@@ -235,7 +235,7 @@ def test_logic_matches_forward_on_nda():
     n1 = step_view(zoo.nda_exists())
     assert logic_eval(n1, "q0", ("a", "b")) is True
     for x in n1.states:
-        eq, _ = language_equal(logic_language(n1, x, 3), em_language(n1, x, 3))
+        eq, _ = language_equal(logic_language(n1, 3)[x], em_language(n1, x, 3))
         assert eq
 
 
@@ -268,19 +268,19 @@ def test_logic_generative_examples():
 
 def test_logic_strange_examples():
     sr = zoo.strange_pair()
-    assert logic_eval_strange(sr, "x", 5) is True
-    assert logic_eval_strange(sr, "y", 0) is True
+    assert logic_eval_strange(sr, 5)["x"][5] is True
+    assert logic_eval_strange(sr, 0)["y"][0] is True
 
 
 def test_strange_separation():
     sr = zoo.strange_pair()
     gc = strange_to_generative(sr)
     for n in range(7):
-        assert logic_eval_strange(sr, "x", n) == logic_eval_strange(sr, "y", n)
+        assert logic_eval_strange(sr, n)["x"][n] == logic_eval_strange(sr, n)["y"][n]
     for d in range(1, 7):
-        assert kleisli_traces(gc, "x", d).payload != kleisli_traces(gc, "y", d).payload
-    assert kleisli_traces(gc, "x", 6).payload == pow_value([((), CHECK)])
-    assert kleisli_traces(gc, "y", 6).payload == pow_value(
+        assert kleisli_traces(gc, d)["x"].payload != kleisli_traces(gc, d)["y"].payload
+    assert kleisli_traces(gc, 6)["x"].payload == pow_value([((), CHECK)])
+    assert kleisli_traces(gc, 6)["y"].payload == pow_value(
         [(("a",) * k, CHECK) for k in range(7)])
 
 
@@ -401,7 +401,7 @@ def test_random_moore_engines_and_oracle(config):
 def test_random_generative_engines_and_oracle(kind):
     for seed in range(25):
         g = gen.random_generative(seed, kind)
-        traces = {x: kleisli_traces(g, x, 3) for x in g.states}
+        traces = kleisli_traces(g, 3)
         view = step_view(g)
         for x in g.states:
             lang = kbar(traces[x], g.labels, 3)
