@@ -35,6 +35,7 @@ from tracekit.kernel import (
     STAR,
     Done,
     KernelError,
+    MassError,
     Modality,
     MonadKind,
     MonadValue,
@@ -99,7 +100,10 @@ def show_value(v) -> Any:
 
 def parse_output(v, modality: Modality, where: str):
     if modality is Modality.EXPECT:
-        return parse_rational(v, where)
+        p = parse_rational(v, where)
+        if not 0 <= p <= 1:
+            raise MachineFormatError(f"{where}: output {p} outside [0, 1]")
+        return p
     if not isinstance(v, bool):
         raise MachineFormatError(f"{where}: expected true/false, got {v!r}")
     return v
@@ -153,7 +157,7 @@ def _parse_branching(kind: MonadKind, raw, states: Universe, where: str) -> Mona
         try:
             return sub_dist({_state(states, y, where): parse_rational(w, where)
                              for y, w in raw.items()})
-        except KernelError as e:
+        except MassError as e:
             raise MachineFormatError(f"{where}: {e}") from None
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise MachineFormatError(f"{where}: expected a list of lists of states")
@@ -250,7 +254,7 @@ def _parse_generative(doc: dict) -> GenerativeCoalgebra:
             try:
                 c[x] = sub_dist((_parse_generative_entry(e, where, labels, states, terminals),
                                  parse_rational(w, where)) for e, w in rows)
-            except KernelError as e:
+            except MassError as e:
                 raise MachineFormatError(f"{where}: {e}") from None
     try:
         return GenerativeCoalgebra(states, labels, kind, c, terminals)
@@ -290,7 +294,7 @@ def _parse_tree(doc: dict) -> TreeCoalgebra:
             try:
                 c[x] = sub_dist((_parse_tree_node(n, signature, states, where),
                                  parse_rational(w, where)) for n, w in rows)
-            except KernelError as e:
+            except MassError as e:
                 raise MachineFormatError(f"{where}: {e}") from None
         else:
             c[x] = double_pow([_parse_tree_node(n, signature, states, where) for n in inner]
@@ -337,7 +341,8 @@ def _parse_io(doc: dict) -> IOSystem:
                 if not (isinstance(e, list) and len(e) == 2 and isinstance(e[1], list)):
                     raise MachineFormatError(f"{where}: bad transition {e!r}")
                 k, targets = e
-                operations.require(k)
+                if k not in operations:
+                    raise MachineFormatError(f"{where}: undeclared operation {k!r}")
                 entries.append((k, tuple(_state(states, y, where) for y in targets)))
             trans[x] = frozenset(entries)
         else:

@@ -42,7 +42,7 @@ from tracekit.kernel import (
     Move,
     Universe,
     algebra_eval,
-    functor_map,
+    algebra_map,
     monad_bind,
     monad_unit,
     omega_bot,
@@ -234,6 +234,8 @@ class GeneralizedCoalgebra:
             if tag == "lang":
                 if body.alphabet != self.alphabet:
                     raise KernelError(f"semantic state {x!r} uses a different alphabet")
+                for w, value in body.table.items():
+                    _check_output(self.alg, value, f"semantic state {x!r} at {w!r}")
             elif tag == "node":
                 om, fam = body
                 _check_output(self.alg, om, f"out[{x!r}]")
@@ -310,7 +312,7 @@ def em_eval(view: StepView, x, word) -> object:
     for a in word:
         view.alphabet.require(a)
         u = monad_bind(view.kind, u, lambda y: view.trans[y][a])
-    return algebra_eval(view.alg, functor_map(view.kind, view.out.__getitem__, u))
+    return algebra_map(view.alg, view.out.__getitem__, u)
 
 
 def em_language(view: StepView, x, depth: int) -> TruncatedLanguage:
@@ -321,7 +323,7 @@ def em_language(view: StepView, x, depth: int) -> TruncatedLanguage:
     table: dict = {}
 
     def walk(prefix: tuple, u: MonadValue):
-        table[prefix] = algebra_eval(view.alg, functor_map(view.kind, view.out.__getitem__, u))
+        table[prefix] = algebra_map(view.alg, view.out.__getitem__, u)
         if len(prefix) == depth:
             return
         for a in view.alphabet:
@@ -443,7 +445,7 @@ def _suffix_evaluator(view: StepView):
     word's value at a state is the output on the empty word, the modality
     over the successors' values on the rest, or a lookup at a semantic state."""
     memo: dict = {}
-    kind, alg, out, trans, semantic = view.kind, view.alg, view.out, view.trans, view.semantic
+    alg, out, trans, semantic = view.alg, view.out, view.trans, view.semantic
 
     def ev(y, suffix: tuple):
         key = (y, suffix)
@@ -459,8 +461,7 @@ def _suffix_evaluator(view: StepView):
                 memo[key] = out[y]
             else:
                 rest = suffix[1:]
-                memo[key] = algebra_eval(alg, functor_map(kind, lambda z: ev(z, rest),
-                                                          trans[y][suffix[0]]))
+                memo[key] = algebra_map(alg, lambda z: ev(z, rest), trans[y][suffix[0]])
         return memo[key]
 
     return ev
@@ -506,7 +507,7 @@ def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
     def ev(y, t: Tree):
         if t.symbol not in tc.signature or len(t.children) != tc.signature[t.symbol]:
             raise KernelError(f"tree node {t.symbol!r} does not fit the signature")
-        return algebra_eval(tc.alg, functor_map(tc.kind, lambda node: match(node, t), tc.c[y]))
+        return algebra_map(tc.alg, lambda node: match(node, t), tc.c[y])
 
     return ev(tc.states.require(x), tree)
 

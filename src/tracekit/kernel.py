@@ -4,6 +4,14 @@ Everything here is immutable and canonical: two values that denote the same
 set / subdistribution compare equal on their payloads.  All arithmetic is
 exact (`fractions.Fraction`); there is no floating point anywhere in the
 package.
+
+Canonicalisation (deduplicating by hash, then sorting by `canon_key`)
+happens only where a value is built to be stored, compared or printed:
+`pow_value`, `sub_dist`, `double_pow` and the maps that return one.  A value
+that is collapsed at once goes through `algebra_map(alg, f, v)`, which
+equals `algebra_eval(alg, functor_map(kind, f, v))` but applies `f` and the
+modality in one pass over `v`, building no mapped value.  `MonadValue` and
+`FiniteFunc` compute their canonical key once and keep it.
 """
 
 from __future__ import annotations
@@ -44,25 +52,42 @@ def canon_key(x: Any):
     Covers every element shape that occurs in machine payloads: symbols,
     exact numbers, tuples, finite functions, generative moves and nested
     monad values.  Objects may opt in by defining ``_canon_key_``.
+
+    Dispatch is on the exact type; subclasses of the built-in shapes are
+    keyed as their base type.  Ints and Fractions share one rank and compare
+    exactly with each other, so an int is keyed as itself.
     """
-    if isinstance(x, bool):
-        return (0, int(x))
-    if isinstance(x, int):
-        return (1, Fraction(x))
-    if isinstance(x, Fraction):
-        return (1, x)
-    if isinstance(x, str):
+    t = type(x)
+    if t is str:
         return (2, x)
-    if isinstance(x, tuple):
-        return (3, tuple(canon_key(e) for e in x))
-    if isinstance(x, frozenset):
-        return (4, tuple(sorted(canon_key(e) for e in x)))
+    if t is tuple:
+        return (3, tuple(map(canon_key, x)))
+    if t is bool:
+        return (0, int(x))
+    if t is int or t is Fraction:
+        return (1, x)
+    if t is frozenset:
+        return (4, tuple(sorted(map(canon_key, x))))
     if x is None:
         return (5,)
     key = getattr(x, "_canon_key_", None)
     if key is not None:
         return key()
+    for base in (int, Fraction, str, tuple, frozenset):
+        if isinstance(x, base):
+            return canon_key(base(x))
     raise TypeError(f"no canonical order for {type(x).__name__}: {x!r}")
+
+
+def _cached_key(obj, compute: Callable[[], tuple]) -> tuple:
+    """The canonical key of a frozen value, computed on first use and kept
+    outside its dataclass fields, so `==`, `hash` and `repr` ignore it."""
+    try:
+        return obj._canon_key
+    except AttributeError:
+        key = compute()
+        object.__setattr__(obj, "_canon_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +159,7 @@ class FiniteFunc:
         return dict(self.entries)
 
     def _canon_key_(self):
-        return (7, canon_key(self.entries))
+        return _cached_key(self, lambda: (7, canon_key(self.entries)))
 
 
 @dataclass(frozen=True)
@@ -207,7 +232,7 @@ class MonadValue:
     payload: tuple
 
     def _canon_key_(self):
-        return (10, self.kind.value, canon_key(self.payload))
+        return _cached_key(self, lambda: (10, self.kind.value, canon_key(self.payload)))
 
     # -- accessors ---------------------------------------------------------
 
@@ -255,11 +280,7 @@ class MonadValue:
 
 def pow_value(items: Iterable) -> MonadValue:
     """Canonical finite-powerset value: sorted and duplicate-free."""
-    seen = []
-    for x in items:
-        if x not in seen:
-            seen.append(x)
-    return MonadValue(MonadKind.POW, tuple(sorted(seen, key=canon_key)))
+    return MonadValue(MonadKind.POW, tuple(sorted(dict.fromkeys(items), key=canon_key)))
 
 
 def sub_dist(weights: Mapping | Iterable) -> MonadValue:
@@ -267,7 +288,8 @@ def sub_dist(weights: Mapping | Iterable) -> MonadValue:
     items = weights.items() if isinstance(weights, Mapping) else weights
     acc: list = []
     for elem, w in items:
-        w = Fraction(w)
+        if type(w) is not Fraction:
+            w = Fraction(w)
         if w < 0:
             raise MassError(f"negative weight {w} at {elem!r}")
         if w == 0:
@@ -286,11 +308,7 @@ def sub_dist(weights: Mapping | Iterable) -> MonadValue:
 
 def double_pow(sets: Iterable[Iterable]) -> MonadValue:
     """Canonical double-powerset value: inner and outer sets sorted, dup-free."""
-    inner = []
-    for s in sets:
-        t = pow_value(s).payload
-        if t not in inner:
-            inner.append(t)
+    inner = dict.fromkeys(pow_value(s).payload for s in sets)
     return MonadValue(MonadKind.DOUBLE_POW, tuple(sorted(inner, key=canon_key)))
 
 
@@ -370,22 +388,37 @@ def algebra_eval(alg: Modality, v: MonadValue):
     Empty-set conventions: join of nothing is bottom, meet of nothing is top;
     the expectation of the zero subdistribution is 0.
     """
+    return algebra_map(alg, _identity, v)
+
+
+def algebra_map(alg: Modality, f: Callable[[Any], Any], v: MonadValue):
+    """`algebra_eval(alg, functor_map(kind, f, v))` in one pass over `v`.
+
+    Applies `f` to every element, in payload order and without stopping
+    early, and collapses the outputs without building the mapped value.  The
+    checks are those of the two-step form: `v`'s kind must be the one the
+    modality evaluates, and every output a boolean (join, meet, join-meet)
+    or a rational in [0, 1] (expectation).  Expectation sums output times
+    weight over elements, which equals summing over merged outputs.
+    """
     if v.kind is not MODALITY_KIND[alg]:
         raise AlgebraMismatchError(f"{alg.value} cannot evaluate a {v.kind.value} value")
-    if alg is Modality.JOIN:
-        _check_bools(v.payload)
-        return any(v.payload)
-    if alg is Modality.MEET:
-        _check_bools(v.payload)
-        return all(v.payload)
     if alg is Modality.EXPECT:
         total = Fraction(0)
-        for p, w in v.payload:
-            p = _check_unit_interval(p)
-            total += p * w
+        for x, w in v.payload:
+            total += _check_unit_interval(f(x)) * w
         return total
-    _check_bools(b for s in v.payload for b in s)
-    return any(all(s) for s in v.payload)
+    if alg is Modality.JOIN_MEET:
+        outs = [[f(x) for x in s] for s in v.payload]
+        _check_bools(b for s in outs for b in s)
+        return any(all(s) for s in outs)
+    outs = [f(x) for x in v.payload]
+    _check_bools(outs)
+    return any(outs) if alg is Modality.JOIN else all(outs)
+
+
+def _identity(x):
+    return x
 
 
 def _check_bools(values) -> None:
@@ -395,9 +428,10 @@ def _check_bools(values) -> None:
 
 
 def _check_unit_interval(p) -> Fraction:
-    if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-        raise AlgebraMismatchError(f"expected a rational output, got {p!r}")
-    p = Fraction(p)
+    if type(p) is not Fraction:
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+            raise AlgebraMismatchError(f"expected a rational output, got {p!r}")
+        p = Fraction(p)
     if not 0 <= p <= 1:
         raise AlgebraMismatchError(f"output {p} outside [0, 1]")
     return p
@@ -431,7 +465,7 @@ def kappa_moore(kind: MonadKind, alg: Modality, v: MonadValue, alphabet: Univers
     """
     _require_monad(kind, "kappa_moore")
     _check_kind(kind, v, "kappa_moore")
-    first = algebra_eval(alg, functor_map(kind, lambda p: p[0], v))
+    first = algebra_map(alg, lambda p: p[0], v)
     funcs = functor_map(kind, lambda p: p[1], v)
     return first, strength(kind, funcs, alphabet)
 

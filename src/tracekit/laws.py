@@ -26,7 +26,7 @@ from tracekit.kernel import (
     MonadValue,
     Move,
     Universe,
-    algebra_eval,
+    algebra_map,
     canon_key,
     functor_map,
     kappa_moore,
@@ -141,11 +141,7 @@ def subdist_pool(base: Sequence, rng: random.Random, singleton_cap: int = 24,
             if total > 1:
                 wx, wy = wx / total, wy / total
             out.append(sub_dist({x: wx, y: wy}))
-    seen: list[MonadValue] = []
-    for v in out:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def t_pool(kind: MonadKind, base: Sequence, rng: random.Random, small: bool = False) -> list[MonadValue]:
@@ -366,8 +362,7 @@ def check_pentagon_em_logic(kind: MonadKind, alg: Modality, alphabet: Universe,
     kalg = kappa_alg if kappa_alg is not None else alg
 
     def tau(tv: MonadValue, points: Sequence) -> FiniteFunc:
-        return FiniteFunc({p: algebra_eval(alg, functor_map(kind, lambda f: f(p), tv))
-                           for p in points})
+        return FiniteFunc({p: algebra_map(alg, lambda f: f(p), tv) for p in points})
 
     def cases(X: Universe):
         points = list(X)
@@ -439,8 +434,7 @@ def check_pentagon_kl_logic(kind: MonadKind, labels: Universe, terminals: Univer
         fns = all_finite_funcs(points, omega_samples(alg), rng)
 
         def tau(tv: MonadValue, pts: Sequence) -> FiniteFunc:
-            return FiniteFunc({p: algebra_eval(alg, functor_map(kind, lambda f: f(p), tv))
-                               for p in pts})
+            return FiniteFunc({p: algebra_map(alg, lambda f: f(p), tv) for p in pts})
 
         for v in _a_elements(labels, terminals, t_pool(kind, fns, rng, small=True)):
             lam_v = lam(v)

@@ -95,7 +95,28 @@ MALFORMED = [
     ("tree_fc", lambda d: d.update(monad="subdist", modality="expect",
                                    transitions={"x": ["c"], "y": ["c"]}),
      "transitions['x']: expected a pair"),
+    ("generative_half", lambda d: d["transitions"]["p"][0].__setitem__(0, ["z", "q"]),
+     "transitions['p']: undeclared label 'z'"),
+    ("tree_fc", lambda d: d.update(monad="subdist", modality="expect",
+                                   transitions={"x": [[["z", []], "1"]], "y": []}),
+     "transitions['x']: undeclared symbol 'z'"),
+    ("pa_chain", lambda d: d["transitions"]["u"].update(a={"ghost": "1/2"}),
+     "transitions['u']['a']: undeclared state 'ghost'"),
+    ("io_self_loop", lambda d: d["transitions"].update(s=[[["k"], ["s", "s"]]]),
+     "transitions['s']: undeclared operation ['k']"),
+    ("generalized_lookup", lambda d: _expect_lookup(d, "3"),
+     "semantic_states['sL']: output 3 outside [0, 1]"),
+    ("generalized_lookup", lambda d: _expect_lookup(d, "-1"),
+     "semantic_states['sL']: output -1 outside [0, 1]"),
 ]
+
+
+def _expect_lookup(doc: dict, value: str) -> None:
+    """`generalized_lookup` as an expectation machine whose semantic state
+    answers `value` on the empty word."""
+    doc.update(monad="subdist", modality="expect", outputs={"s0": "0"},
+               transitions={"s0": {"a": {"sL": "1"}, "b": {}}},
+               semantic_states={"sL": {"depth": 0, "table": [[[], value]]}})
 
 
 @pytest.mark.parametrize("fixture, edit, location", MALFORMED,
@@ -105,14 +126,19 @@ MALFORMED = [
                               "reactive-entry-not-pair", "reactive-answer-list",
                               "semantic-entry-not-pair", "semantic-entry-number",
                               "semantic-word-number",
-                              "generative-entry-not-pair", "tree-entry-not-pair"])
+                              "generative-entry-not-pair", "tree-entry-not-pair",
+                              "generative-subdist-label", "tree-subdist-symbol",
+                              "moore-subdist-state", "generative-io-operation-list",
+                              "semantic-value-above-one", "semantic-value-negative"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(MachineFormatError, match=re.escape(location)):
+    with pytest.raises(MachineFormatError, match=re.escape(location)) as err:
         parse_machine(str(p))
+    field = location.split(": ")[0]
+    assert str(err.value).count(field) == 1, "the location is named more than once"
     assert main(["semantics", str(p), "--depth", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -34,7 +34,7 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import Tree, enumerate_words, language_equal
+from tracekit.languages import Tree, TruncatedLanguage, enumerate_words, language_equal
 
 F = Fraction
 
@@ -61,6 +61,16 @@ def test_node_values_must_match_branching_kind():
     c = dict(t.c, x=sub_dist({("c", ()): F(1)}))
     with pytest.raises(KernelError, match="kind subdist"):
         TreeCoalgebra(t.states, t.signature, t.kind, t.alg, c)
+
+
+@pytest.mark.parametrize("value, message", [
+    (F(3), "output 3 outside"), (F(-1), "output -1 outside"),
+    (True, "output True is not a rational")])
+def test_semantic_table_values_are_range_checked(value, message):
+    sl = TruncatedLanguage(Universe(["a"]), 0, {(): value})
+    with pytest.raises(KernelError, match=f"semantic state 'sL' at \\(\\): {message}"):
+        GeneralizedCoalgebra(Universe(["sL"]), Universe(["a"]), MonadKind.SUBDIST,
+                             Modality.EXPECT, {"sL": ("lang", sl)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Kernel value semantics: units, binds, strength, modalities, law components."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests import gen
 from tracekit.kernel import (
     CHECK,
     AlgebraMismatchError,
@@ -16,10 +19,13 @@ from tracekit.kernel import (
     MassError,
     Modality,
     MonadKind,
+    MonadValue,
     Move,
     Universe,
     UniverseError,
     algebra_eval,
+    algebra_map,
+    canon_key,
     double_pow,
     functor_map,
     kappa_moore,
@@ -30,6 +36,8 @@ from tracekit.kernel import (
     strength,
     sub_dist,
 )
+from tracekit.languages import Tree, enumerate_trees
+from tracekit.laws import all_finite_funcs, pow_pool, subdist_pool, t_pool
 
 F = Fraction
 
@@ -346,3 +354,170 @@ def test_expect_additive_over_disjoint_support():
     merged = sub_dist(list(d1.payload) + list(d2.payload))
     assert (algebra_eval(Modality.EXPECT, merged)
             == algebra_eval(Modality.EXPECT, d1) + algebra_eval(Modality.EXPECT, d2))
+
+
+# ---------------------------------------------------------------------------
+# one-pass modality evaluation
+
+
+def _mapped_pairs():
+    """(modality, value, output map) over every kind, including empty values."""
+    elems = ["e0", "e1", "e2"]
+    subsets = _all_subsets(elems)
+    bool_maps = [dict(zip(elems, bs)) for bs in itertools.product([False, True], repeat=3)]
+    for alg in (Modality.JOIN, Modality.MEET):
+        for v in subsets:
+            for f in bool_maps:
+                yield alg, v, f
+    dists = [sub_dist({}), sub_dist({"e0": 1}), sub_dist({"e0": F(1, 3), "e2": F(1, 2)}),
+             sub_dist({"e0": F(1, 4), "e1": F(1, 4), "e2": F(1, 2)})]
+    grid = [0, 1, F(0), F(1, 4), F(1, 3), F(1, 2), F(1)]
+    for v in dists:
+        for outs in itertools.product(grid, repeat=3):
+            yield Modality.EXPECT, v, dict(zip(elems, outs))
+    inner = [s.payload for s in subsets]
+    for sets in [[], [()], [inner[1]], [inner[1], inner[6]], inner]:
+        for f in bool_maps:
+            yield Modality.JOIN_MEET, double_pow(sets), f
+
+
+def _two_step(alg, f, v):
+    return algebra_eval(alg, functor_map(v.kind, f, v))
+
+
+def test_algebra_map_equals_eval_after_map():
+    for alg, v, outs in _mapped_pairs():
+        calls_a, calls_b = [], []
+        a = algebra_map(alg, lambda x: calls_a.append(x) or outs[x], v)
+        b = _two_step(alg, lambda x: calls_b.append(x) or outs[x], v)
+        assert a == b and type(a) is type(b), (alg, v, outs)
+        assert calls_a == calls_b
+
+
+@pytest.mark.parametrize("alg, v, bad", [
+    (Modality.JOIN, pow_value(["e0", "e1"]), 2),
+    (Modality.MEET, pow_value(["e0"]), "yes"),
+    (Modality.JOIN_MEET, double_pow([["e0"], ["e1"]]), F(1, 2)),
+    (Modality.EXPECT, sub_dist({"e0": F(1, 2)}), "half"),
+    (Modality.EXPECT, sub_dist({"e0": F(1, 2), "e1": F(1, 2)}), F(3, 2)),
+    (Modality.EXPECT, sub_dist({"e0": F(1, 2)}), -1),
+    (Modality.EXPECT, pow_value(["e0"]), F(1, 2)),
+    (Modality.JOIN, sub_dist({"e0": F(1, 2)}), True),
+    (Modality.MEET, double_pow([["e0"]]), True),
+    (Modality.JOIN_MEET, pow_value(["e0"]), True),
+], ids=["join-int", "meet-str", "joinmeet-rational", "expect-str", "expect-above-one",
+        "expect-negative", "expect-on-pow", "join-on-subdist", "meet-on-doublepow",
+        "joinmeet-on-pow"])
+def test_algebra_map_rejects_what_the_two_step_form_rejects(alg, v, bad):
+    f = lambda x: bad if x == "e0" else (F(0) if alg is Modality.EXPECT else False)
+    with pytest.raises(AlgebraMismatchError):
+        _two_step(alg, f, v)
+    with pytest.raises(AlgebraMismatchError):
+        algebra_map(alg, f, v)
+
+
+# ---------------------------------------------------------------------------
+# canonical keys
+
+
+def _reference_canon_key(x):
+    """`canon_key` as it was before keys were cached: every int became a
+    Fraction and every nested value was keyed afresh.  Sorting by the
+    current key must give exactly this order."""
+    if isinstance(x, bool):
+        return (0, int(x))
+    if isinstance(x, int):
+        return (1, Fraction(x))
+    if isinstance(x, Fraction):
+        return (1, x)
+    if isinstance(x, str):
+        return (2, x)
+    if isinstance(x, tuple):
+        return (3, tuple(_reference_canon_key(e) for e in x))
+    if isinstance(x, frozenset):
+        return (4, tuple(sorted(_reference_canon_key(e) for e in x)))
+    if x is None:
+        return (5,)
+    if isinstance(x, FiniteFunc):
+        return (7, _reference_canon_key(x.entries))
+    if isinstance(x, Move):
+        return (8, _reference_canon_key(x.label), _reference_canon_key(x.target))
+    if isinstance(x, Done):
+        return (9, _reference_canon_key(x.terminal))
+    if isinstance(x, MonadValue):
+        return (10, x.kind.value, _reference_canon_key(x.payload))
+    if isinstance(x, Tree):
+        return (12, _reference_canon_key(x.symbol), _reference_canon_key(x.children))
+    raise TypeError(f"no reference key for {x!r}")
+
+
+def _same_order(items: list) -> None:
+    assert sorted(items, key=canon_key) == sorted(items, key=_reference_canon_key)
+    keys = [(canon_key(x), _reference_canon_key(x)) for x in items]
+    for (k1, r1), (k2, r2) in itertools.combinations(keys, 2):
+        assert (k1 < k2, k1 == k2, k1 > k2) == (r1 < r2, r1 == r2, r1 > r2)
+
+
+def _gen_payloads(seed: int) -> list:
+    out = []
+    for config in gen.CONFIGS:
+        m = gen.random_moore(seed, config)
+        values = [mv for row in m.trans.values() for mv in row.values()]
+        out += values + [e for mv in values for e in mv.payload] + list(m.out.values())
+        g = gen.random_generalized(seed, config, 2)
+        out += [v for tag, body in g.c.values() if tag == "lang" for v in body.table.values()]
+    for kind in (MonadKind.POW, MonadKind.SUBDIST):
+        g = gen.random_generative(seed, kind)
+        out += list(g.c.values()) + [e for mv in g.c.values() for e in mv.payload]
+    t = gen.random_tree_automaton(seed)
+    out += list(t.c.values()) + [e for mv in t.c.values() for e in mv.payload]
+    out += list(gen.random_io_system(seed, "generative").trans.values())
+    out += [answers for row in gen.random_io_system(seed, "reactive").trans.values()
+            for answers in row.values()]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canon_key_order_on_generated_payloads(seed):
+    _same_order(_gen_payloads(seed))
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POW, MonadKind.SUBDIST])
+def test_canon_key_order_on_law_pools(kind):
+    rng = random.Random(3)
+    A = Universe(["a", "b"])
+    X = ["c0", "c1", "c2"]
+    outputs = [False, True] if kind is MonadKind.POW else [F(0), F(1, 2), 1]
+    funcs = all_finite_funcs(list(A), X, rng)
+    b_elems = [(om, g) for om in outputs for g in funcs]
+    pool1 = t_pool(kind, b_elems, rng)
+    pool2 = t_pool(kind, pool1, rng, small=True)
+    moves = [Move(a, v) for a in A for v in pool1[:20]] + [Done(CHECK)]
+    for items in (funcs, b_elems, pool1, pool2, moves,
+                  pow_pool(X, rng), subdist_pool(X, rng)):
+        _same_order(list(items))
+
+
+def test_canon_key_order_on_trees_and_mixed_numbers():
+    _same_order(enumerate_trees({"c": 0, "f": 1, "g": 2}, 3))
+    numbers = [False, True, 0, 1, 2, -1, F(0), F(1, 2), F(1), F(3, 2), F(-1, 3)]
+    _same_order(numbers + list(itertools.product(numbers, repeat=2))
+                + [(n, ("s", m)) for n in numbers[:5] for m in numbers[5:]]
+                + [frozenset([n, "s"]) for n in numbers] + [None, "s", ()])
+
+
+def test_cached_key_leaves_value_semantics_unchanged():
+    makers = [lambda: pow_value(["b", "a"]), lambda: sub_dist({"a": F(1, 4), "b": F(1, 2)}),
+              lambda: sub_dist({"b": 1}),
+              lambda: double_pow([["b"], ["a", "b"]]), lambda: pow_value([]),
+              lambda: FiniteFunc({"b": True, "a": F(1, 2)}),
+              lambda: pow_value([FiniteFunc({"a": pow_value(["x"])})])]
+    for make in makers:
+        keyed, fresh = make(), make()
+        canon_key(keyed)
+        assert canon_key(keyed) is canon_key(keyed)
+        assert keyed == fresh and hash(keyed) == hash(fresh)
+        assert repr(keyed) == repr(fresh)
+        assert dataclasses.asdict(keyed) == dataclasses.asdict(fresh)
+        assert [f.name for f in dataclasses.fields(keyed)] == \
+            [f.name for f in dataclasses.fields(fresh)]
