@@ -94,7 +94,7 @@ def show_value(v) -> Any:
     if isinstance(v, bool):
         return v
     if isinstance(v, (int, Fraction)):
-        return str(Fraction(v))
+        return str(v)
     return repr(v)
 
 
@@ -174,6 +174,15 @@ def _pairs(raw, where: str) -> list:
     return raw
 
 
+def _declared_keys(raw, universe: Universe, where: str, what: str) -> None:
+    """Every key of the JSON object `raw` names a member of `universe`;
+    a key that names nothing would otherwise be dropped without a word."""
+    if isinstance(raw, dict):
+        for k in raw:
+            if k not in universe:
+                raise MachineFormatError(f"{where}: undeclared {what} {k!r}")
+
+
 def _state(states: Universe, y, where: str):
     if y not in states:
         raise MachineFormatError(f"{where}: undeclared state {y!r}")
@@ -205,11 +214,14 @@ def _parse_moore(doc: dict) -> MooreCoalgebra:
     alg = _parse_modality(doc)
     outputs = _field(doc, "outputs")
     trans_doc = _field(doc, "transitions")
+    _declared_keys(outputs, states, "outputs", "state")
+    _declared_keys(trans_doc, states, "transitions", "state")
     out = {x: parse_output(_field(outputs, x, "outputs"), alg, f"outputs[{x!r}]")
            for x in states}
     trans = {}
     for x in states:
         row = _field(trans_doc, x, "transitions")
+        _declared_keys(row, alphabet, f"transitions[{x!r}]", "letter")
         trans[x] = {}
         for a in alphabet:
             raw = _field(row, a, f"transitions[{x!r}]")
@@ -242,6 +254,7 @@ def _parse_generative(doc: dict) -> GenerativeCoalgebra:
     if kind is MonadKind.DOUBLE_POW:
         raise MachineFormatError("generative machines need a monad: pow or subdist")
     trans_doc = _field(doc, "transitions")
+    _declared_keys(trans_doc, states, "transitions", "state")
     c = {}
     for x in states:
         raw = _field(trans_doc, x, "transitions")
@@ -283,6 +296,7 @@ def _parse_tree(doc: dict) -> TreeCoalgebra:
     kind = _parse_monad(doc)
     alg = _parse_modality(doc)
     trans_doc = _field(doc, "transitions")
+    _declared_keys(trans_doc, states, "transitions", "state")
     c = {}
     for x in states:
         raw = _field(trans_doc, x, "transitions")
@@ -308,6 +322,7 @@ def _parse_tree(doc: dict) -> TreeCoalgebra:
 def _parse_strange(doc: dict) -> StrangeCoalgebra:
     states = _universe(_field(doc, "states"), "states")
     trans_doc = _field(doc, "transitions")
+    _declared_keys(trans_doc, states, "transitions", "state")
     c = {}
     for x in states:
         raw = _field(trans_doc, x, "transitions")
@@ -327,10 +342,12 @@ def _parse_strange(doc: dict) -> StrangeCoalgebra:
 def _parse_io(doc: dict) -> IOSystem:
     states = _universe(_field(doc, "states"), "states")
     operations = _universe(_field(doc, "operations"), "operations")
+    _declared_keys(doc.get("arities"), operations, "arities", "operation")
     arities = {k: _universe(_field(_field(doc, "arities"), k, "arities"), f"arities[{k!r}]")
                for k in operations}
     mode = _field(doc, "mode")
     trans_doc = _field(doc, "transitions")
+    _declared_keys(trans_doc, states, "transitions", "state")
     trans: dict = {}
     for x in states:
         raw = _field(trans_doc, x, "transitions")
@@ -348,6 +365,7 @@ def _parse_io(doc: dict) -> IOSystem:
         else:
             if not isinstance(raw, dict):
                 raise MachineFormatError(f"{where}: expected an operation->answers map")
+            _declared_keys(raw, operations, where, "operation")
             trans[x] = {}
             for k in operations:
                 row = _pairs(raw.get(k, []), f"{where}[{k!r}]")
@@ -369,6 +387,9 @@ def _parse_generalized(doc: dict) -> GeneralizedCoalgebra:
     semantic = doc.get("semantic_states", {})
     outputs = doc.get("outputs", {})
     trans_doc = doc.get("transitions", {})
+    _declared_keys(semantic, states, "semantic_states", "state")
+    _declared_keys(outputs, states, "outputs", "state")
+    _declared_keys(trans_doc, states, "transitions", "state")
     c = {}
     for x in states:
         if x in semantic:
@@ -394,6 +415,7 @@ def _parse_generalized(doc: dict) -> GeneralizedCoalgebra:
         else:
             om = parse_output(_field(outputs, x, "outputs"), alg, f"outputs[{x!r}]")
             row = _field(trans_doc, x, "transitions")
+            _declared_keys(row, alphabet, f"transitions[{x!r}]", "letter")
             fam = {a: _parse_branching(kind, _field(row, a, f"transitions[{x!r}]"), states,
                                        f"transitions[{x!r}][{a!r}]")
                    for a in alphabet}
@@ -641,10 +663,8 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
     if (engine in ("em", "logic") and isinstance(machine, (MooreCoalgebra, GenerativeCoalgebra))
             or engine == "cia" and isinstance(machine, GeneralizedCoalgebra)):
         view = step_view(machine)
-        if engine == "em":
-            langs = {x: em_language(view, x, depth) for x in states}
-        else:
-            langs = logic_language(view, depth, states)
+        engine_language = em_language if engine == "em" else logic_language
+        langs = engine_language(view, depth, states)
         return {x: {"language": show_language(langs[x])} for x in states}
     if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
         traces = kleisli_traces(machine, depth)

@@ -7,12 +7,17 @@ semantic state.  `step_view` builds it; two engines run on it:
 
 * forward engine (`em_eval`, `em_language`): run the branching state
   forward (generalised subset / distribution construction) and collapse
-  outputs at the end.  It runs per start state: the running value depends
-  on where it started, so states share nothing;
+  outputs at the end.  `em_eval` runs one word through `monad_bind`;
+  `em_language(view, depth, states=None)` tabulates every state in one
+  call: a subdistribution belief is an integer vector over `D * L**k` after
+  k letters, a powerset belief a subset whose output and successors are
+  memoised across start states;
 * logical engine (`logic_eval`, `logic_language`): evaluate one word as a
   test, recursing on suffixes and looking the rest of the word up as soon as
   a semantic state is reached (the CLI's `--engine cia` on generalized
   machines).  `logic_language` tabulates every state from one suffix memo;
+  on a subdistribution view the memo holds integer numerators over
+  `D * L**len(suffix)`;
 * fixpoint engine (`kleisli_traces`, collapsed by `kbar`): Kleene-iterate the
   complete-trace equations of a generative machine from bottom; one chain
   gives the trace sets of every state.
@@ -22,12 +27,19 @@ Tree and strange machines have their own logical evaluators
 from one memo).  Whole-machine results are `{state: value}` maps.  The
 engines produce exactly equal truncated languages on the machine classes
 where the connecting laws hold; `compare_semantics` materialises that check.
+
+`L` and `D` are the step view's common denominators (see `StepView`): every
+transition weight is an integer over `L`, every output and semantic-table
+value an integer over `D`.  Each table entry of a subdistribution language
+is the one `Fraction` built from such an integer and its denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from tracekit.kernel import (
@@ -54,6 +66,7 @@ from tracekit.languages import (
     Tree,
     TruncatedLanguage,
     TruncatedTraceSet,
+    enumerate_words,
     language_equal,
 )
 from tracekit.laws import canonical_rho2
@@ -254,7 +267,15 @@ class GeneralizedCoalgebra:
 @dataclass
 class StepView:
     """A word machine as plain tables: `out[y]` and `trans[y][a]` for its
-    ordinary states, a ready-made language for each semantic state."""
+    ordinary states, a ready-made language for each semantic state.
+
+    The machine constructors have already checked every row's kind and
+    every output.  A subdistribution view also carries its steps as
+    integers: `scale` (`L`) is the lcm of every transition weight's
+    denominator and `int_trans[y][a]` holds (successor, `L` * weight) pairs;
+    `denom` (`D`) is the lcm of the denominators of every output and every
+    semantic-table value, and `int_out[y]` is `D` * output.
+    """
 
     states: Universe
     alphabet: Universe
@@ -263,6 +284,25 @@ class StepView:
     out: dict  # ordinary state -> output
     trans: dict  # ordinary state -> letter -> MonadValue over states
     semantic: dict  # semantic state -> TruncatedLanguage
+    scale: int = field(init=False, default=1)
+    int_trans: dict = field(init=False, default_factory=dict)
+    denom: int = field(init=False, default=1)
+    int_out: dict = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind is not MonadKind.SUBDIST:
+            return
+        self.scale = lcm(*(w.denominator for row in self.trans.values()
+                           for mv in row.values() for _, w in mv.payload))
+        self.int_trans = {y: {a: tuple((z, w.numerator * (self.scale // w.denominator))
+                                       for z, w in mv.payload)
+                              for a, mv in row.items()}
+                          for y, row in self.trans.items()}
+        self.denom = lcm(*(v.denominator for v in self.out.values()),
+                         *(v.denominator for lang in self.semantic.values()
+                           for v in lang.table.values()))
+        self.int_out = {y: v.numerator * (self.denom // v.denominator)
+                        for y, v in self.out.items()}
 
 
 def step_view(machine) -> StepView:
@@ -315,22 +355,74 @@ def em_eval(view: StepView, x, word) -> object:
     return algebra_map(view.alg, view.out.__getitem__, u)
 
 
-def em_language(view: StepView, x, depth: int) -> TruncatedLanguage:
-    """Tabulated forward semantics, sharing the running value across prefixes."""
+def em_language(view: StepView, depth: int, states=None) -> dict:
+    """Tabulated forward semantics of every state, or of `states` only, each
+    prefix's belief extended by one letter at a time, depth-first.  A
+    machine with no states has an empty semantics.
+
+    Subdistribution beliefs are integer vectors: after k letters the
+    belief is over `D * L**k`, so a step multiplies by the integer rows and
+    an entry is one `Fraction`.  Powerset beliefs are subsets; a subset's
+    output and its successor under each letter are computed once for all
+    start states.
+    """
+    states = view.states if states is None else [view.states.require(x) for x in states]
+    if not states:
+        return {}
     _check_forward(view)
-    if depth < 0:
-        raise KernelError("depth must be >= 0")
-    table: dict = {}
+    enumerate_words(view.alphabet, depth)  # size guard, before any belief is built
+    if view.kind is MonadKind.SUBDIST:
+        # beliefs are lists indexed like `view.states`
+        index = {y: i for i, y in enumerate(view.states)}
+        rows = {a: [[(index[z], q) for z, q in view.int_trans[y][a]] for y in view.states]
+                for a in view.alphabet}
+        out = [view.int_out[y] for y in view.states]
+        dens = [view.denom * view.scale ** k for k in range(depth + 1)]
 
-    def walk(prefix: tuple, u: MonadValue):
-        table[prefix] = algebra_map(view.alg, view.out.__getitem__, u)
-        if len(prefix) == depth:
-            return
-        for a in view.alphabet:
-            walk(prefix + (a,), monad_bind(view.kind, u, lambda y: view.trans[y][a]))
+        def start(x) -> list:
+            belief = [0] * len(out)
+            belief[index[x]] = 1
+            return belief
 
-    walk((), monad_unit(view.kind, view.states.require(x)))
-    return TruncatedLanguage(view.alphabet, depth, table)
+        def collapse(belief: list, k: int) -> Fraction:
+            return Fraction(sum(map(mul, belief, out)), dens[k])
+
+        def advance(belief: list, a) -> list:
+            nxt = [0] * len(out)
+            for row, p in zip(rows[a], belief):
+                if p:
+                    for j, q in row:
+                        nxt[j] += p * q
+            return nxt
+    else:
+        modality = any if view.alg is Modality.JOIN else all
+        outputs: dict = {}
+        succ: dict = {}
+
+        def start(x) -> frozenset:
+            return frozenset([x])
+
+        def collapse(u: frozenset, k: int) -> bool:
+            if u not in outputs:
+                outputs[u] = modality(view.out[y] for y in u)
+            return outputs[u]
+
+        def advance(u: frozenset, a) -> frozenset:
+            if (u, a) not in succ:
+                succ[(u, a)] = frozenset(z for y in u for z in view.trans[y][a].payload)
+            return succ[(u, a)]
+
+    languages: dict = {}
+    for x in states:
+        table: dict = {}
+        stack = [((), start(x))]
+        while stack:
+            w, belief = stack.pop()
+            table[w] = collapse(belief, len(w))
+            if len(w) < depth:
+                stack.extend((w + (a,), advance(belief, a)) for a in view.alphabet)
+        languages[x] = TruncatedLanguage(view.alphabet, depth, table)
+    return languages
 
 
 @dataclass
@@ -443,20 +535,47 @@ def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
 def _suffix_evaluator(view: StepView):
     """The logical engine's recursion over one view, with its own memo: a
     word's value at a state is the output on the empty word, the modality
-    over the successors' values on the rest, or a lookup at a semantic state."""
+    over the successors' values on the rest, or a lookup at a semantic state.
+
+    On a subdistribution view `ev` memoises integer numerators over
+    `D * L**len(suffix)`, and the returned function divides once.
+    """
     memo: dict = {}
     alg, out, trans, semantic = view.alg, view.out, view.trans, view.semantic
+
+    def lookup(y, lang, suffix: tuple):
+        if len(suffix) > lang.depth:
+            raise KernelError(
+                f"semantic state {y!r} (depth {lang.depth}) cannot answer "
+                f"a residual word of length {len(suffix)}")
+        return lang.value(suffix)
+
+    if alg is Modality.EXPECT:
+        rows, int_out, scale, denom = view.int_trans, view.int_out, view.scale, view.denom
+
+        def ev(y, suffix: tuple) -> int:
+            key = (y, suffix)
+            if key not in memo:
+                lang = semantic.get(y)
+                if lang is not None:
+                    v = lookup(y, lang, suffix)
+                    # D is a multiple of every table value's denominator
+                    memo[key] = v.numerator * (denom // v.denominator) * scale ** len(suffix)
+                elif not suffix:
+                    memo[key] = int_out[y]
+                else:
+                    rest = suffix[1:]
+                    memo[key] = sum([q * ev(z, rest) for z, q in rows[y][suffix[0]]])
+            return memo[key]
+
+        return lambda y, word: Fraction(ev(y, word), denom * scale ** len(word))
 
     def ev(y, suffix: tuple):
         key = (y, suffix)
         if key not in memo:
             lang = semantic.get(y)
             if lang is not None:
-                if len(suffix) > lang.depth:
-                    raise KernelError(
-                        f"semantic state {y!r} (depth {lang.depth}) cannot answer "
-                        f"a residual word of length {len(suffix)}")
-                memo[key] = lang.value(suffix)
+                memo[key] = lookup(y, lang, suffix)
             elif not suffix:
                 memo[key] = out[y]
             else:
@@ -588,7 +707,7 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         view = step_view(machine)
         langs = {}
         if machine.kind is not MonadKind.DOUBLE_POW:
-            langs["em"] = {x: em_language(view, x, depth) for x in machine.states}
+            langs["em"] = em_language(view, depth)
         langs["logic"] = logic_language(view, depth)
         verdicts = _pairwise(list(langs), langs, machine.states)
         return SemanticsReport("moore", depth, list(langs), langs, verdicts,
@@ -601,7 +720,7 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         traces = kleisli_traces(machine, depth)
         view = step_view(machine)
         langs = {
-            "em": {x: em_language(view, x, depth) for x in machine.states},
+            "em": em_language(view, depth),
             "logic": logic_language(view, depth),
             "kleisli": {x: kbar(traces[x], machine.labels, depth, terminal)
                         for x in machine.states},

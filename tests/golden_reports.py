@@ -2,10 +2,14 @@
 
 Each case is one `run_command` call: every fixture in `machines/` under
 every command that reads a machine file and every `--engine` value, at
-depths 0 and 3, plus `counterexample`.  A case's digest is the sha256 of the
-report as the CLI prints it, without `timing_s`; a rejected case digests its
-error class and message, so rejections are pinned too.  A change that must
-leave every report as it was is checked by `tests/test_golden_reports.py`.
+depths 0 and 3, plus `counterexample`.  Beyond the fixtures, `compare` runs
+at depth 5 on `tests/gen.py` machines (every Moore configuration and both
+generative kinds, seeds 0-9), written to files with `serialize_machine`;
+their reports name the file without its directory.  A case's digest is the
+sha256 of the report as the CLI prints it, without `timing_s`; a rejected
+case digests its error class and message, so rejections are pinned too.  A
+change that must leave every report as it was is checked by
+`tests/test_golden_reports.py`.
 
 Regenerate the file, from the repository root, after a deliberate change to
 the reports:
@@ -18,10 +22,12 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
-from tracekit.cli import run_command
-from tracekit.kernel import KernelError
+from tests import gen
+from tracekit.cli import run_command, serialize_machine
+from tracekit.kernel import KernelError, MonadKind
 
 FIXTURES = "machines"
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -30,6 +36,8 @@ ENGINES = (None, "em", "kleisli", "logic", "cia")
 DEPTHS = (0, 3)
 #: `laws` needs a seed on subdistribution machines; the other commands take none
 LAW_SEED = 1
+GENERATED_SEEDS = range(10)
+GENERATED_DEPTH = 5
 
 
 def fixture_names() -> list[str]:
@@ -54,13 +62,29 @@ def cases(fixture: str) -> list[tuple[str, str, dict]]:
     return out
 
 
-def digest(command: str, options: dict) -> str:
+def generated_machines() -> dict[str, object]:
+    """Case id -> generated machine, for the `compare` cases beyond the fixtures."""
+    out = {}
+    for seed in GENERATED_SEEDS:
+        for config in gen.CONFIGS:
+            out[f"gen moore {config} {seed} compare --depth {GENERATED_DEPTH}"] = \
+                gen.random_moore(seed, config)
+        for kind in (MonadKind.POW, MonadKind.SUBDIST):
+            out[f"gen generative {kind.value} {seed} compare --depth {GENERATED_DEPTH}"] = \
+                gen.random_generative(seed, kind)
+    return out
+
+
+def digest(command: str, options: dict, machine_name: str | None = None) -> str:
+    """Digest of one report; `machine_name` replaces the machine path it shows."""
     try:
         report = run_command(command, **options)
     except KernelError as e:
         text = f"error: {type(e).__name__}: {e}"
     else:
         del report["timing_s"]
+        if machine_name is not None:
+            report["options"]["machine"] = machine_name
         text = json.dumps(report, indent=2, ensure_ascii=False)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -69,10 +93,22 @@ def digests(fixture: str) -> dict[str, str]:
     return {case: digest(command, options) for case, command, options in cases(fixture)}
 
 
+def generated_digests() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (case, machine) in enumerate(generated_machines().items()):
+            path = Path(tmp) / f"gen{i}.json"
+            path.write_text(json.dumps(serialize_machine(machine), ensure_ascii=False))
+            out[case] = digest("compare", {"machine": str(path), "depth": GENERATED_DEPTH},
+                               path.name)
+    return out
+
+
 def all_digests() -> dict[str, str]:
     out = {}
     for fixture in [*fixture_names(), "counterexample"]:
         out.update(digests(fixture))
+    out.update(generated_digests())
     return out
 
 

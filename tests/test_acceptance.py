@@ -83,8 +83,9 @@ def test_criterion_1_moore_triangle():
             m = gen.random_moore(seed, config)
             view = step_view(m)
             logs = logic_language(view, DEPTH)
+            fwds = em_language(view, DEPTH)
             for x in m.states:
-                fwd = em_language(view, x, DEPTH)
+                fwd = fwds[x]
                 log = logs[x]
                 for w in enumerate_words(m.alphabet, DEPTH):
                     if fwd.value(w) != log.value(w):
@@ -102,8 +103,9 @@ def test_criterion_2_generative_triangle():
             view = step_view(g)
             logs = logic_language(view, DEPTH)
             traces = kleisli_traces(g, DEPTH)
+            fwds = em_language(view, DEPTH)
             for x in g.states:
-                fwd = em_language(view, x, DEPTH)
+                fwd = fwds[x]
                 log = logs[x]
                 viakbar = kbar(traces[x], g.labels, DEPTH)
                 for w in enumerate_words(g.labels, DEPTH):
@@ -119,20 +121,20 @@ def test_criterion_3_oracle_equivalence():
     for config in ("nda-exists", "nda-forall"):
         for seed in range(N_MOORE):
             m = gen.random_moore(seed, config)
-            view = step_view(m)
+            engines = em_language(step_view(m), DEPTH)
             for x in m.states:
                 table = oracles.moore_language_by_paths(m, x, DEPTH)
-                engine = em_language(view, x, DEPTH)
+                engine = engines[x]
                 for w, expected in table.items():
                     if engine.value(w) != expected:
                         violations.append((config, seed, x, w))
     for seed in range(N_GENERATIVE):
         g = gen.random_generative(seed, MonadKind.POW)
-        view = step_view(g)
+        engines = em_language(step_view(g), DEPTH)
         traces = kleisli_traces(g, DEPTH)
         for x in g.states:
             table = oracles.generative_language_by_paths(g, x, DEPTH)
-            engine = em_language(view, x, DEPTH)
+            engine = engines[x]
             for w, expected in table.items():
                 if engine.value(w) != expected:
                     violations.append(("generative", seed, x, w))

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tests import gen
 from tracekit import engines, zoo
 from tracekit.cli import (
     MachineFormatError,
@@ -108,6 +109,31 @@ MALFORMED = [
      "semantic_states['sL']: output 3 outside [0, 1]"),
     ("generalized_lookup", lambda d: _expect_lookup(d, "-1"),
      "semantic_states['sL']: output -1 outside [0, 1]"),
+    ("io_reactive", lambda d: d["transitions"]["s0"].update(z=[["0", "s0"]]),
+     "transitions['s0']: undeclared operation 'z'"),
+    ("io_reactive", lambda d: d["arities"].update(z=["0"]), "arities: undeclared operation 'z'"),
+    ("generalized_lookup",
+     lambda d: d["semantic_states"].update(ghost={"depth": 0, "table": [[[], True]]}),
+     "semantic_states: undeclared state 'ghost'"),
+    ("generalized_lookup", lambda d: d["outputs"].update(ghost=False),
+     "outputs: undeclared state 'ghost'"),
+    ("generalized_lookup", lambda d: d["transitions"].update(ghost={"a": [], "b": []}),
+     "transitions: undeclared state 'ghost'"),
+    ("generalized_lookup", lambda d: d["transitions"]["s0"].update(z=[]),
+     "transitions['s0']: undeclared letter 'z'"),
+    ("nda_exists", lambda d: d["outputs"].update(ghost=True), "outputs: undeclared state 'ghost'"),
+    ("nda_exists", lambda d: d["transitions"].update(ghost={"a": [], "b": []}),
+     "transitions: undeclared state 'ghost'"),
+    ("nda_exists", lambda d: d["transitions"]["q0"].update(z=[]),
+     "transitions['q0']: undeclared letter 'z'"),
+    ("generative_ab", lambda d: d["transitions"].update(ghost=[]),
+     "transitions: undeclared state 'ghost'"),
+    ("tree_fc", lambda d: d["transitions"].update(ghost=[]),
+     "transitions: undeclared state 'ghost'"),
+    ("strange_pair", lambda d: d["transitions"].update(ghost=[]),
+     "transitions: undeclared state 'ghost'"),
+    ("io_self_loop", lambda d: d["transitions"].update(ghost=[]),
+     "transitions: undeclared state 'ghost'"),
 ]
 
 
@@ -129,7 +155,13 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "generative-entry-not-pair", "tree-entry-not-pair",
                               "generative-subdist-label", "tree-subdist-symbol",
                               "moore-subdist-state", "generative-io-operation-list",
-                              "semantic-value-above-one", "semantic-value-negative"])
+                              "semantic-value-above-one", "semantic-value-negative",
+                              "reactive-row-operation", "arities-operation",
+                              "generalized-semantic-state", "generalized-output-state",
+                              "generalized-row-state", "generalized-row-letter",
+                              "moore-output-state", "moore-row-state", "moore-row-letter",
+                              "generative-row-state", "tree-row-state", "strange-row-state",
+                              "io-row-state"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -198,6 +230,17 @@ def test_semantics_engine_mismatch():
 def test_semantics_requires_depth():
     with pytest.raises(MachineFormatError, match="--depth"):
         run_command("semantics", machine=f"{FIXTURES}/nda_exists.json")
+
+
+def test_semantics_of_a_machine_with_no_states_is_empty(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "format": 1, "kind": "moore", "monad": "doublepow", "modality": "joinmeet",
+        "states": [], "alphabet": ["a"], "outputs": {}, "transitions": {}}))
+    for engine in ("em", "logic"):
+        rep = run_command("semantics", machine=str(path), depth=2, engine=engine)
+        assert rep["results"] == []
+    assert run_command("compare", machine=str(path), depth=2)["verdicts"] == []
 
 
 def test_semantics_cia_and_tree_and_strange():
@@ -273,6 +316,19 @@ def test_one_chain_and_one_memo_per_machine(monkeypatch):
     assert len(chains) == 3
     run_command("semantics", machine=f"{FIXTURES}/nda_exists.json", depth=3, engine="logic")
     assert len(memos) == 2
+
+
+def test_moore_compare_builds_no_monad_values(monkeypatch):
+    binds = _count_calls(monkeypatch, "monad_bind")
+    dists = _count_calls(monkeypatch, "sub_dist")
+    maps = _count_calls(monkeypatch, "algebra_map")
+    assert compare_semantics(parse_machine(f"{FIXTURES}/pa_chain.json"), 6).all_equal
+    assert compare_semantics(gen.random_moore(3, "pa"), 5).all_equal
+    assert (len(binds), len(dists), len(maps)) == (0, 0, 0)
+    for config in ("nda-exists", "nda-forall"):
+        assert compare_semantics(gen.random_moore(3, config), 5).all_equal
+    assert compare_semantics(parse_machine(f"{FIXTURES}/nda_exists.json"), 5).all_equal
+    assert len(binds) == 0
 
 
 @pytest.mark.parametrize("argv", [

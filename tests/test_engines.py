@@ -34,7 +34,13 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import Tree, TruncatedLanguage, enumerate_words, language_equal
+from tracekit.languages import (
+    SizeGuardError,
+    Tree,
+    TruncatedLanguage,
+    enumerate_words,
+    language_equal,
+)
 
 F = Fraction
 
@@ -84,7 +90,7 @@ def test_em_nda_examples():
 
 
 def test_em_nda_language_depth2():
-    lang = em_language(step_view(zoo.nda_exists()), "q0", 2)
+    lang = em_language(step_view(zoo.nda_exists()), 2)["q0"]
     assert dict(lang.items()) == {
         (): False, ("a",): True, ("b",): False,
         ("a", "a"): True, ("a", "b"): True, ("b", "a"): False, ("b", "b"): False,
@@ -93,13 +99,13 @@ def test_em_nda_language_depth2():
 
 def test_em_language_depth0_is_output():
     n1 = step_view(zoo.nda_exists())
-    assert dict(em_language(n1, "q1", 0).items()) == {(): True}
+    assert dict(em_language(n1, 0)["q1"].items()) == {(): True}
 
 
 def test_em_pa_examples():
     p1 = step_view(zoo.pa_chain())
     assert em_eval(p1, "u", ("a", "a")) == F(3, 4)
-    assert dict(em_language(p1, "u", 1).items()) == {(): F(0), ("a",): F(1, 2)}
+    assert dict(em_language(p1, 1)["u"].items()) == {(): F(0), ("a",): F(1, 2)}
 
 
 def test_em_unknown_state_and_letter():
@@ -108,6 +114,132 @@ def test_em_unknown_state_and_letter():
         em_eval(n1, "nope", ())
     with pytest.raises(KernelError):
         em_eval(n1, "q0", ("z",))
+
+
+def _word_machines():
+    """Step views of `tests/gen.py` machines of every Moore configuration and
+    every generative kind."""
+    for seed in range(15):
+        for config in gen.CONFIGS:
+            yield gen.random_moore(seed, config)
+        for kind in (MonadKind.POW, MonadKind.SUBDIST):
+            yield gen.random_generative(seed, kind)
+
+
+def _same_value(a, b) -> bool:
+    return a == b and type(a) is type(b)
+
+
+def test_em_language_matches_em_eval_value_and_type():
+    for m in _word_machines():
+        view = step_view(m)
+        langs = em_language(view, 3)
+        assert list(langs) == list(m.states)
+        for x in m.states:
+            for w in enumerate_words(view.alphabet, 3):
+                assert _same_value(langs[x].table[w], em_eval(view, x, w)), (m, x, w)
+
+
+def test_logic_language_matches_logic_eval_value_and_type():
+    for m in _word_machines():
+        view = step_view(m)
+        langs = logic_language(view, 3)
+        for x in m.states:
+            for w in enumerate_words(view.alphabet, 3):
+                assert _same_value(langs[x].table[w], logic_eval(view, x, w)), (m, x, w)
+
+
+def _coprime_moore() -> MooreCoalgebra:
+    """Weights over 7, 11 and 13 and outputs over 7 and 13, so that a value
+    after k letters has a denominator up to 7 * 13 * (7 * 11 * 13)**k."""
+    s = Universe(["u", "v", "w"])
+    trans = {
+        "u": {"a": sub_dist({"v": F(1, 7), "w": F(5, 11)}), "b": sub_dist({"u": F(12, 13)})},
+        "v": {"a": sub_dist({"u": F(3, 11), "v": F(2, 13)}), "b": sub_dist({"w": F(1, 7)})},
+        "w": {"a": sub_dist({"w": F(6, 7), "u": F(1, 13)}), "b": sub_dist({})},
+    }
+    return MooreCoalgebra(s, Universe(["a", "b"]), MonadKind.SUBDIST, Modality.EXPECT,
+                          {"u": F(1, 7), "v": F(1), "w": F(4, 13)}, trans)
+
+
+def test_coprime_denominators_at_depth_8():
+    m = _coprime_moore()
+    view = step_view(m)
+    assert (view.scale, view.denom) == (7 * 11 * 13, 7 * 13)
+    fwd, log = em_language(view, 8), logic_language(view, 8)
+    for x in m.states:
+        for w in enumerate_words(m.alphabet, 8):
+            value = fwd[x].table[w]
+            assert _same_value(value, log[x].table[w])
+            assert _same_value(value, em_eval(view, x, w))
+            if len(w) <= 5:
+                assert value == oracles.moore_value(m, x, w)
+    assert fwd["u"].table[("b", "b")] == F(12, 13) ** 2 * F(1, 7)
+
+
+def _ninth_lookup() -> GeneralizedCoalgebra:
+    """An expectation machine whose semantic state answers 1/9 and 2/9, while
+    no output and no weight has a 3 in its denominator."""
+    table = {(): F(1, 9), ("a",): F(2, 9), ("b",): F(0)}
+    sl = TruncatedLanguage(Universe(["a", "b"]), 1, table)
+    c = {"s0": ("node", (F(1, 2), {"a": sub_dist({"sL": F(1, 2), "s0": F(1, 4)}),
+                                    "b": sub_dist({"s0": F(1)})})),
+         "sL": ("lang", sl)}
+    return GeneralizedCoalgebra(Universe(["s0", "sL"]), Universe(["a", "b"]),
+                                MonadKind.SUBDIST, Modality.EXPECT, c)
+
+
+def test_semantic_values_outside_the_output_denominators():
+    g = _ninth_lookup()
+    view = step_view(g)
+    assert (view.scale, view.denom) == (4, 18)
+    langs = logic_language(view, 2, ["s0"])
+    for w in enumerate_words(g.alphabet, 2):
+        value = langs["s0"].table[w]
+        assert _same_value(value, logic_eval(view, "s0", w))
+        assert value == oracles.generalized_value(g, "s0", w)
+    assert langs["s0"].table[("a",)] == F(1, 2) * F(1, 9) + F(1, 4) * F(1, 2)
+    assert logic_eval(view, "sL", ("a",)) == F(2, 9)
+    with pytest.raises(KernelError, match="cannot answer"):
+        logic_language(view, 2)
+
+
+def test_em_language_states_scope():
+    for m in (zoo.nda_exists(), zoo.pa_chain(), zoo.generative_half()):
+        view = step_view(m)
+        whole = em_language(view, 3)
+        for x in m.states:
+            one = em_language(view, 3, [x])
+            assert list(one) == [x]
+            assert one[x].table == whole[x].table
+        with pytest.raises(KernelError):
+            em_language(view, 3, ["nope"])
+    with pytest.raises(KernelError, match="depth"):
+        em_language(step_view(zoo.pa_chain()), -1)
+
+
+def test_forward_engine_refuses_what_it_cannot_run():
+    with pytest.raises(KernelError, match="semantic states"):
+        em_language(step_view(zoo.generalized_lookup()), 1)
+    alt = step_view(zoo.alternating_single())
+    with pytest.raises(KernelError, match="needs a monad"):
+        em_language(alt, 1)
+
+
+def test_em_language_of_no_states_is_empty():
+    # nothing to run, so not even a double-powerset machine is refused
+    for kind, alg in ((MonadKind.DOUBLE_POW, Modality.JOIN_MEET),
+                      (MonadKind.SUBDIST, Modality.EXPECT)):
+        view = step_view(MooreCoalgebra(Universe([]), Universe(["a"]), kind, alg, {}, {}))
+        assert em_language(view, 2) == {}
+        assert logic_language(view, 2) == {}
+    assert em_language(step_view(zoo.alternating_single()), 2, []) == {}
+
+
+def test_em_language_size_guard_fires_before_the_walk():
+    # 20,001 words on a one-letter alphabet; the guard is 20,000
+    with pytest.raises(SizeGuardError):
+        em_language(step_view(zoo.pa_chain()), 20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +260,7 @@ def test_determinise_language_matches_forward():
     for x in n1.states:
         for d in range(4):
             eq, _ = language_equal(det.language(frozenset([x]), d),
-                                   em_language(step_view(n1), x, d))
+                                   em_language(step_view(n1), d)[x])
             assert eq
 
 
@@ -190,7 +322,7 @@ def test_kbar_empty_trace_set():
 def test_kbar_triangle_with_forward_engine():
     g1 = zoo.generative_ab()
     eq, _ = language_equal(kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2),
-                           em_language(step_view(g1), "p", 2))
+                           em_language(step_view(g1), 2)["p"])
     assert eq
 
 
@@ -245,7 +377,7 @@ def test_logic_matches_forward_on_nda():
     n1 = step_view(zoo.nda_exists())
     assert logic_eval(n1, "q0", ("a", "b")) is True
     for x in n1.states:
-        eq, _ = language_equal(logic_language(n1, 3)[x], em_language(n1, x, 3))
+        eq, _ = language_equal(logic_language(n1, 3)[x], em_language(n1, 3)[x])
         assert eq
 
 
