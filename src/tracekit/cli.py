@@ -387,12 +387,19 @@ def _parse_generalized(doc: dict) -> GeneralizedCoalgebra:
     semantic = doc.get("semantic_states", {})
     outputs = doc.get("outputs", {})
     trans_doc = doc.get("transitions", {})
+    for name, raw in (("semantic_states", semantic), ("outputs", outputs),
+                      ("transitions", trans_doc)):
+        if not isinstance(raw, dict):
+            raise MachineFormatError(f"{name}: expected an object, got {type(raw).__name__}")
     _declared_keys(semantic, states, "semantic_states", "state")
     _declared_keys(outputs, states, "outputs", "state")
     _declared_keys(trans_doc, states, "transitions", "state")
     c = {}
     for x in states:
         if x in semantic:
+            for name, entries in (("outputs", outputs), ("transitions", trans_doc)):
+                if x in entries:
+                    raise MachineFormatError(f"{name}[{x!r}]: state is semantic")
             spec = semantic[x]
             where = f"semantic_states[{x!r}]"
             depth = _field(spec, "depth", where)
@@ -562,7 +569,9 @@ def _show_branching(mv: MonadValue):
 
 
 def show_language(lang: TruncatedLanguage) -> list:
-    return [[list(w), show_value(v)] for w, v in lang.items()]
+    """The table as [word, value] pairs; a boolean is printed as it is, any
+    other value by `show_value`."""
+    return [[list(w), v if type(v) is bool else show_value(v)] for w, v in lang.items()]
 
 
 def show_trace_set(ts) -> list:

@@ -12,12 +12,14 @@ semantic state.  `step_view` builds it; two engines run on it:
   call: a subdistribution belief is an integer vector over `D * L**k` after
   k letters, a powerset belief a subset whose output and successors are
   memoised across start states;
-* logical engine (`logic_eval`, `logic_language`): evaluate one word as a
-  test, recursing on suffixes and looking the rest of the word up as soon as
-  a semantic state is reached (the CLI's `--engine cia` on generalized
-  machines).  `logic_language` tabulates every state from one suffix memo;
-  on a subdistribution view the memo holds integer numerators over
-  `D * L**len(suffix)`;
+* logical engine (`logic_eval`, `logic_language`): evaluate a word as a
+  test on its suffixes, looking the rest of the word up as soon as a
+  semantic state is reached (the CLI's `--engine cia` on generalized
+  machines).  One backward pass visits suffixes shortest first and computes
+  every state's value on `a + w` from the values on `w` at once: a bitmask
+  over the states on a boolean view, a vector of integer numerators over
+  `D * L**len(w)` on an expectation view.  `logic_language` runs it over
+  every word up to the depth, `logic_eval` over the suffixes of its word;
 * fixpoint engine (`kleisli_traces`, collapsed by `kbar`): Kleene-iterate the
   complete-trace equations of a generative machine from bottom; one chain
   gives the trace sets of every state.
@@ -370,7 +372,7 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
     if not states:
         return {}
     _check_forward(view)
-    enumerate_words(view.alphabet, depth)  # size guard, before any belief is built
+    words = enumerate_words(view.alphabet, depth)  # size guard, before any belief is built
     if view.kind is MonadKind.SUBDIST:
         # beliefs are lists indexed like `view.states`
         index = {y: i for i, y in enumerate(view.states)}
@@ -414,7 +416,7 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
 
     languages: dict = {}
     for x in states:
-        table: dict = {}
+        table = dict.fromkeys(words)  # the walk fills it; the order is `words`
         stack = [((), start(x))]
         while stack:
             w, belief = stack.pop()
@@ -456,14 +458,14 @@ def determinise_bt(m: MooreCoalgebra) -> DeterminisedMoore:
     trans: dict = {}
     while agenda:
         u = agenda.pop(0)
-        if u in subsets:
+        if u in out:  # `out` is keyed by the subsets found so far
             continue
         subsets.append(u)
         out[u] = algebra_eval(m.alg, pow_value(m.out[y] for y in u))
         for a in m.alphabet:
             succ = frozenset(z for y in u for z in m.trans[y][a].elements)
             trans[(u, a)] = succ
-            if succ not in subsets:
+            if succ not in out:
                 agenda.append(succ)
     return DeterminisedMoore(m.alphabet, m.alg, subsets, out, trans)
 
@@ -532,82 +534,157 @@ def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
 # logical engine
 
 
-def _suffix_evaluator(view: StepView):
-    """The logical engine's recursion over one view, with its own memo: a
-    word's value at a state is the output on the empty word, the modality
-    over the successors' values on the rest, or a lookup at a semantic state.
+def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
+    """The logical engine's one backward pass: every state's value on every
+    word of `words`, which lists each word's tail `w[1:]` before the word.
 
-    On a subdistribution view `ev` memoises integer numerators over
-    `D * L**len(suffix)`, and the returned function divides once.
+    A word's value at an ordinary state is its output on the empty word, or
+    the modality over its successors' values on the tail; a semantic state
+    looks the word up.  The values of all states on one word form one
+    vector, computed from the tail's vector at once: on a boolean view an
+    `int` bitmask over `view.states` (bit i set when state i answers true),
+    on an expectation view a list of integer numerators over
+    `D * L**len(word)`.
+
+    A semantic state asked for a word longer than its depth is poisoned at
+    that word, and so is an ordinary state with a poisoned successor on the
+    tail.  Returns the vectors and the nonzero poison masks, keyed by word.
     """
-    memo: dict = {}
-    alg, out, trans, semantic = view.alg, view.out, view.trans, view.semantic
+    index = {y: i for i, y in enumerate(view.states)}
 
-    def lookup(y, lang, suffix: tuple):
-        if len(suffix) > lang.depth:
-            raise KernelError(
-                f"semantic state {y!r} (depth {lang.depth}) cannot answer "
-                f"a residual word of length {len(suffix)}")
-        return lang.value(suffix)
+    def mask(ys) -> int:
+        m = 0
+        for y in ys:
+            m |= 1 << index[y]
+        return m
 
-    if alg is Modality.EXPECT:
-        rows, int_out, scale, denom = view.int_trans, view.int_out, view.scale, view.denom
+    ordinary = [(index[y], row) for y, row in view.trans.items()]
+    semantic = [(index[y], lang) for y, lang in view.semantic.items()]
+    # a state reads its successors' entries: poison spreads along these masks
+    reach = {a: [(1 << i, mask(_base_states(row[a]))) for i, row in ordinary]
+             for a in view.alphabet}
 
-        def ev(y, suffix: tuple) -> int:
-            key = (y, suffix)
-            if key not in memo:
-                lang = semantic.get(y)
-                if lang is not None:
-                    v = lookup(y, lang, suffix)
-                    # D is a multiple of every table value's denominator
-                    memo[key] = v.numerator * (denom // v.denominator) * scale ** len(suffix)
-                elif not suffix:
-                    memo[key] = int_out[y]
-                else:
-                    rest = suffix[1:]
-                    memo[key] = sum([q * ev(z, rest) for z, q in rows[y][suffix[0]]])
-            return memo[key]
+    if view.alg is Modality.EXPECT:
+        scale, denom = view.scale, view.denom
+        rows = {a: [(index[y], [(index[z], q) for z, q in view.int_trans[y][a]])
+                    for y in view.trans]
+                for a in view.alphabet}
+        size = len(index)
 
-        return lambda y, word: Fraction(ev(y, word), denom * scale ** len(word))
+        def start() -> list:
+            t = [0] * size
+            for y, v in view.int_out.items():
+                t[index[y]] = v
+            return t
 
-    def ev(y, suffix: tuple):
-        key = (y, suffix)
-        if key not in memo:
-            lang = semantic.get(y)
-            if lang is not None:
-                memo[key] = lookup(y, lang, suffix)
-            elif not suffix:
-                memo[key] = out[y]
+        def step(a, tail: list) -> list:
+            t = [0] * size
+            for i, row in rows[a]:
+                t[i] = sum([q * tail[j] for j, q in row])
+            return t
+
+        def look_up(t: list, i: int, v, k: int) -> list:
+            # D is a multiple of every table value's denominator
+            t[i] = v.numerator * (denom // v.denominator) * scale ** k
+            return t
+    else:
+        start_mask = mask(y for y, v in view.out.items() if v)
+
+        def start() -> int:
+            return start_mask
+
+        if view.alg is Modality.JOIN_MEET:
+            rows = {a: [(1 << i, [mask(s) for s in row[a].payload]) for i, row in ordinary]
+                    for a in view.alphabet}
+
+            def step(a, tail: int) -> int:
+                return sum(bit for bit, inner in rows[a]
+                           if any((m & tail) == m for m in inner))
+        elif view.alg is Modality.MEET:
+            def step(a, tail: int) -> int:
+                return sum(bit for bit, m in reach[a] if (m & tail) == m)
+        else:
+            def step(a, tail: int) -> int:
+                return sum(bit for bit, m in reach[a] if m & tail)
+
+        def look_up(t: int, i: int, v, k: int) -> int:
+            return t | (1 << i) if v else t
+
+    vectors: dict = {}
+    poison: dict = {}
+    for w in words:
+        if w:
+            a, tail = w[0], w[1:]
+            t = step(a, vectors[tail])
+            bad = poison.get(tail, 0)
+            p = sum(bit for bit, m in reach[a] if m & bad) if bad else 0
+        else:
+            t, p = start(), 0
+        for i, lang in semantic:
+            if len(w) > lang.depth:
+                p |= 1 << i
             else:
-                rest = suffix[1:]
-                memo[key] = algebra_map(alg, lambda z: ev(z, rest), trans[y][suffix[0]])
-        return memo[key]
+                t = look_up(t, i, lang.table[w], len(w))
+        vectors[w] = t
+        if p:
+            poison[w] = p
+    return vectors, poison
 
-    return ev
+
+def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
+    """The error of a poisoned entry: follow the first poisoned successor in
+    payload order down to the semantic state that cannot answer."""
+    while y not in view.semantic:
+        mv, w = view.trans[y][w[0]], w[1:]
+        y = next(z for z in _base_states(mv)
+                 if poison.get(w, 0) >> view.states.index(z) & 1)
+    return KernelError(f"semantic state {y!r} (depth {view.semantic[y].depth}) "
+                       f"cannot answer a residual word of length {len(w)}")
+
+
+def _state_table(view: StepView, vectors: dict, poison: dict, x, words) -> dict:
+    """State `x`'s values on `words`, read from `_suffix_pass` results; the
+    first poisoned entry among them raises."""
+    i = view.states.index(x)
+    bit = 1 << i
+    if poison:
+        for w in words:
+            if poison.get(w, 0) & bit:
+                raise _underflow(view, poison, x, w)
+    if view.alg is Modality.EXPECT:
+        dens = [view.denom * view.scale ** k for k in range(max(map(len, words)) + 1)]
+        return {w: Fraction(vectors[w][i], dens[len(w)]) for w in words}
+    return {w: (vectors[w] & bit) != 0 for w in words}
 
 
 def logic_eval(view: StepView, x, word) -> object:
-    """Evaluate one word as a test, recursing on suffixes under the modality
-    and looking the rest of the word up at a semantic state.
+    """Evaluate one word as a test under the modality, looking the rest of
+    the word up at a semantic state: one backward pass over the word's
+    suffixes, shortest first.
 
     Works for any branching kind, including double powerset.
     """
     view.states.require(x)
     word = tuple(view.alphabet.require(a) for a in word)
-    return _suffix_evaluator(view)(x, word)
+    vectors, poison = _suffix_pass(view, [word[k:] for k in range(len(word), -1, -1)])
+    return _state_table(view, vectors, poison, x, [word])[word]
 
 
 def logic_language(view: StepView, depth: int, states=None) -> dict:
-    """Tabulated logical semantics of every state, or of `states` only; one
-    memo serves every state and word.
+    """Tabulated logical semantics of every state, or of `states` only, from
+    one backward pass over every word up to `depth`.
 
     A semantic state answers words only up to its own depth, so some states
     may have a language at `depth` while the machine as a whole has none;
     `states` asks for just those.
     """
-    ev = _suffix_evaluator(view)
     states = view.states if states is None else [view.states.require(x) for x in states]
-    return {x: TruncatedLanguage.tabulate(view.alphabet, depth, lambda w: ev(x, w))
+    if not states:
+        return {}
+    words = enumerate_words(view.alphabet, depth)
+    vectors, poison = _suffix_pass(view, words)
+    return {x: TruncatedLanguage(view.alphabet, depth,
+                                 _state_table(view, vectors, poison, x, words))
             for x in states}
 
 

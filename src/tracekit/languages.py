@@ -112,12 +112,15 @@ class TruncatedLanguage:
     table: dict
 
     def __post_init__(self):
-        expected = enumerate_words(self.alphabet, self.depth)
-        missing = [w for w in expected if w not in self.table]
-        if missing or len(self.table) != len(expected):
-            raise ShapeMismatchError(
-                f"table must be total on words of length <= {self.depth}"
-            )
+        """Check that the table is total, and keep it in `enumerate_words`
+        order, so that iterating it visits words in that order."""
+        words = enumerate_words(self.alphabet, self.depth)
+        if list(self.table) != words:
+            if len(self.table) != len(words) or not all(w in self.table for w in words):
+                raise ShapeMismatchError(
+                    f"table must be total on words of length <= {self.depth}"
+                )
+            self.table = {w: self.table[w] for w in words}
 
     @classmethod
     def tabulate(cls, alphabet: Universe, depth: int, fn: Callable[[tuple], object]):
@@ -130,16 +133,16 @@ class TruncatedLanguage:
             raise KernelError(f"word {word!r} beyond truncation depth {self.depth}") from None
 
     def items(self):
-        for w in enumerate_words(self.alphabet, self.depth):
-            yield w, self.table[w]
+        return self.table.items()
 
 
 def language_equal(l1: TruncatedLanguage, l2: TruncatedLanguage):
     """Table equality; on failure also return the first differing word."""
     if l1.alphabet != l2.alphabet or l1.depth != l2.depth:
         raise ShapeMismatchError("languages have different alphabet or depth")
-    for w in enumerate_words(l1.alphabet, l1.depth):
-        if l1.table[w] != l2.table[w]:
+    other = l2.table
+    for w, v in l1.table.items():
+        if v != other[w]:
             return False, w
     return True, None
 

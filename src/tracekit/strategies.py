@@ -288,7 +288,7 @@ def determinise_io(sys: IOSystem) -> DeterminisedIO:
     succ: dict = {}
     while agenda:
         u = agenda.pop(0)
-        if u in subsets:
+        if u in init:  # `init` is keyed by the subsets found so far
             continue
         subsets.append(u)
         ops = frozenset(k for x in u for k, _ in sys.trans[x])
@@ -297,6 +297,6 @@ def determinise_io(sys: IOSystem) -> DeterminisedIO:
             for i in sys.signature.answers(k):
                 target = frozenset(y for x in u for y in sys.continuation(x, k, i))
                 succ[(u, k, i)] = target
-                if target not in subsets:
+                if target not in init:
                     agenda.append(target)
     return DeterminisedIO(sys.signature, subsets, init, succ)

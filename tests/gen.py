@@ -18,6 +18,7 @@ from tracekit.kernel import (
     MonadKind,
     Move,
     Universe,
+    double_pow,
     pow_value,
     sub_dist,
 )
@@ -65,6 +66,21 @@ def random_moore(seed: int, config: str) -> MooreCoalgebra:
                      for a in alphabet}
                  for x in states}
     return MooreCoalgebra(states, alphabet, kind, alg, out, trans)
+
+
+def random_alternating(seed: int) -> MooreCoalgebra:
+    """Double-powerset Moore machine read by join-meet: each move offers a
+    few conjunct sets of states, some of them empty."""
+    rng = random.Random(("alternating", seed).__repr__())
+    states = _states(rng)
+    alphabet = _alphabet(rng)
+    out = {x: rng.random() < 0.5 for x in states}
+    trans = {x: {a: double_pow([y for y in states if rng.random() < 0.4]
+                               for _ in range(rng.randint(0, 3)))
+                 for a in alphabet}
+             for x in states}
+    return MooreCoalgebra(states, alphabet, MonadKind.DOUBLE_POW, Modality.JOIN_MEET,
+                          out, trans)
 
 
 def random_generative(seed: int, kind: MonadKind) -> GenerativeCoalgebra:

@@ -134,6 +134,12 @@ MALFORMED = [
      "transitions: undeclared state 'ghost'"),
     ("io_self_loop", lambda d: d["transitions"].update(ghost=[]),
      "transitions: undeclared state 'ghost'"),
+    ("generalized_lookup", lambda d: d["outputs"].update(sL=True),
+     "outputs['sL']: state is semantic"),
+    ("generalized_lookup", lambda d: d["transitions"].update(sL={"a": ["s0"], "b": []}),
+     "transitions['sL']: state is semantic"),
+    ("generalized_lookup", lambda d: d.update(semantic_states="sL"),
+     "semantic_states: expected an object"),
 ]
 
 
@@ -161,7 +167,8 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "generalized-row-state", "generalized-row-letter",
                               "moore-output-state", "moore-row-state", "moore-row-letter",
                               "generative-row-state", "tree-row-state", "strange-row-state",
-                              "io-row-state"])
+                              "io-row-state", "semantic-state-output",
+                              "semantic-state-row", "semantic-states-not-object"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -202,6 +209,15 @@ def test_round_trip_idempotent(tmp_path):
         p.write_text(json.dumps(doc, ensure_ascii=False))
         m2 = parse_machine(str(p))
         assert serialize_machine(m2) == doc, path
+
+
+def test_semantic_table_is_kept_in_word_order(tmp_path):
+    path = f"{FIXTURES}/generalized_lookup.json"
+    doc = json.loads(open(path).read())
+    doc["semantic_states"]["sL"]["table"].reverse()
+    p = tmp_path / "reversed.json"
+    p.write_text(json.dumps(doc))
+    assert serialize_machine(parse_machine(str(p))) == serialize_machine(parse_machine(path))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +316,7 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 def test_one_chain_and_one_memo_per_machine(monkeypatch):
     chains = _count_calls(monkeypatch, "kleisli_iterates")
-    memos = _count_calls(monkeypatch, "_suffix_evaluator")
+    passes = _count_calls(monkeypatch, "_suffix_pass")
     half = F(1, 2)
     g = GenerativeCoalgebra(
         Universe(["p", "q", "r"]), Universe(["a", "b"]), MonadKind.SUBDIST,
@@ -308,14 +324,14 @@ def test_one_chain_and_one_memo_per_machine(monkeypatch):
          "q": sub_dist({Move("a", "r"): half, Done(CHECK): half}),
          "r": sub_dist({Move("b", "p"): half, Done(CHECK): F(1, 4)})})
     assert compare_semantics(g, 3).all_equal
-    assert (len(chains), len(memos)) == (1, 1)
+    assert (len(chains), len(passes)) == (1, 1)
     run_command("counterexample")
     assert len(chains) == 2
     run_command("semantics", machine=f"{FIXTURES}/generative_ab.json", depth=3,
                 engine="kleisli")
     assert len(chains) == 3
     run_command("semantics", machine=f"{FIXTURES}/nda_exists.json", depth=3, engine="logic")
-    assert len(memos) == 2
+    assert len(passes) == 2
 
 
 def test_moore_compare_builds_no_monad_values(monkeypatch):
@@ -329,6 +345,16 @@ def test_moore_compare_builds_no_monad_values(monkeypatch):
         assert compare_semantics(gen.random_moore(3, config), 5).all_equal
     assert compare_semantics(parse_machine(f"{FIXTURES}/nda_exists.json"), 5).all_equal
     assert len(binds) == 0
+
+
+def test_powerset_moore_compare_calls_no_algebra_map(monkeypatch):
+    maps = _count_calls(monkeypatch, "algebra_map")
+    for config in ("nda-exists", "nda-forall"):
+        assert compare_semantics(gen.random_moore(3, config), 5).all_equal
+    for name in ("nda_exists", "alternating"):
+        assert compare_semantics(parse_machine(f"{FIXTURES}/{name}.json"), 5).all_equal
+    assert compare_semantics(gen.random_alternating(3), 5).all_equal
+    assert len(maps) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -149,6 +149,108 @@ def test_logic_language_matches_logic_eval_value_and_type():
                 assert _same_value(langs[x].table[w], logic_eval(view, x, w)), (m, x, w)
 
 
+def _alternating_value(m: MooreCoalgebra, x, word) -> bool:
+    """Join-meet read off the raw transitions: the output at the end of the
+    word, or some conjunct set of the move all of whose members accept the
+    rest."""
+    if not word:
+        return m.out[x]
+    return any(all(_alternating_value(m, z, word[1:]) for z in s)
+               for s in m.trans[x][word[0]].payload)
+
+
+def test_logic_language_matches_the_oracles_value_and_type():
+    for seed in range(15):
+        for config in gen.CONFIGS:
+            m = gen.random_moore(seed, config)
+            view = step_view(m)
+            langs = logic_language(view, 3)
+            for x in m.states:
+                for w, value in langs[x].items():
+                    assert _same_value(value, oracles.moore_value(m, x, w)), (m, x, w)
+                    assert _same_value(value, em_eval(view, x, w)), (m, x, w)
+        m = gen.random_alternating(seed)
+        langs = logic_language(step_view(m), 3)
+        for x in m.states:
+            for w, value in langs[x].items():
+                assert _same_value(value, _alternating_value(m, x, w)), (m, x, w)
+        for kind in (MonadKind.POW, MonadKind.SUBDIST):
+            g = gen.random_generative(seed, kind)
+            view = step_view(g)
+            langs = logic_language(view, 3)
+            for x in g.states:
+                for w, value in langs[x].items():
+                    assert _same_value(value, oracles.generative_value(g, x, w)), (g, x, w)
+                    assert _same_value(value, em_eval(view, x, w)), (g, x, w)
+
+
+def test_logic_language_on_semantic_states_matches_the_oracle():
+    semantic = 0
+    for seed in range(15):
+        for config in gen.CONFIGS:
+            g = gen.random_generalized(seed, config, 3)
+            view = step_view(g)
+            semantic += len(view.semantic)
+            langs = logic_language(view, 3)
+            for x in g.states:
+                for w, value in langs[x].items():
+                    assert _same_value(value, oracles.generalized_value(g, x, w)), (g, x, w)
+    assert semantic > 0
+
+
+def _two_depth_lookup() -> GeneralizedCoalgebra:
+    """s0 reaches two semantic states under `a`: q (depth 1) and p (depth 2).
+    `p` comes first in the move's payload, `q` first in the state order."""
+    A = Universe(["a", "b"])
+    p = TruncatedLanguage(A, 2, {(): True, ("a",): False, ("b",): True, ("a", "a"): True,
+                                 ("a", "b"): False, ("b", "a"): False, ("b", "b"): True})
+    q = TruncatedLanguage(A, 1, {(): False, ("a",): True, ("b",): False})
+    c = {"s0": ("node", (False, {"a": pow_value(["q", "p"]), "b": pow_value(["s1"])})),
+         "s1": ("node", (True, {"a": pow_value(["s1"]), "b": pow_value([])})),
+         "q": ("lang", q),
+         "p": ("lang", p)}
+    return GeneralizedCoalgebra(Universe(["s0", "s1", "q", "p"]), A, MonadKind.POW,
+                                Modality.JOIN, c)
+
+
+def test_underflow_names_the_first_semantic_state_in_payload_order():
+    view = step_view(_two_depth_lookup())
+    assert view.trans["s0"]["a"].payload == ("p", "q")
+    # a residual of length 3 is too long for both: p comes first in the payload
+    with pytest.raises(KernelError) as err:
+        logic_eval(view, "s0", ("a", "b", "b", "a"))
+    assert str(err.value) == ("semantic state 'p' (depth 2) cannot answer "
+                              "a residual word of length 3")
+    # a residual of length 2 is too long for q only
+    with pytest.raises(KernelError) as err:
+        logic_eval(view, "s0", ("a", "b", "a"))
+    assert str(err.value) == ("semantic state 'q' (depth 1) cannot answer "
+                              "a residual word of length 2")
+    with pytest.raises(KernelError) as err:
+        logic_language(view, 3, ["s1", "s0"])
+    assert str(err.value) == ("semantic state 'q' (depth 1) cannot answer "
+                              "a residual word of length 2")
+    with pytest.raises(KernelError) as err:
+        logic_language(view, 2)
+    assert str(err.value) == ("semantic state 'q' (depth 1) cannot answer "
+                              "a residual word of length 2")
+    assert logic_eval(view, "s0", ("b",) * 6) is False
+
+
+def test_states_scope_avoids_the_shallow_semantic_state():
+    view = step_view(_two_depth_lookup())
+    langs = logic_language(view, 2, ["s0", "s1", "p"])
+    assert list(langs) == ["s0", "s1", "p"]
+    assert dict(langs["s0"].items()) == {
+        (): False, ("a",): True, ("b",): True,
+        ("a", "a"): True, ("a", "b"): True, ("b", "a"): True, ("b", "b"): False}
+    assert dict(langs["s1"].items()) == {
+        (): True, ("a",): True, ("b",): False,
+        ("a", "a"): True, ("a", "b"): False, ("b", "a"): False, ("b", "b"): False}
+    assert langs["p"].table == view.semantic["p"].table
+    assert logic_language(view, 6, ["s1"])["s1"].table[("a",) * 6] is True
+
+
 def _coprime_moore() -> MooreCoalgebra:
     """Weights over 7, 11 and 13 and outputs over 7 and 13, so that a value
     after k letters has a denominator up to 7 * 13 * (7 * 11 * 13)**k."""

@@ -72,6 +72,21 @@ def test_language_requires_total_table():
         TruncatedLanguage(Universe(["a"]), 1, {(): False})
 
 
+def test_language_keeps_its_table_in_word_order():
+    A = Universe(["a", "b"])
+    words = enumerate_words(A, 2)
+    given = {w: len(w) % 2 == 1 for w in reversed(words)}
+    lang = TruncatedLanguage(A, 2, given)
+    assert list(lang.table) == [w for w, _ in lang.items()] == words
+    assert lang.table == given and list(given) == words[::-1]
+    with pytest.raises(KernelError, match="total"):
+        TruncatedLanguage(A, 1, dict(given))
+    with pytest.raises(KernelError, match="total"):
+        TruncatedLanguage(A, 2, {w: True for w in words[1:]})
+    other = TruncatedLanguage(A, 2, {w: w in (("b",), ("a", "b")) for w in words})
+    assert language_equal(lang, other) == (False, ("a",))
+
+
 def test_language_equal_reflexive_and_first_difference():
     A = Universe(["a"])
     l1 = TruncatedLanguage.tabulate(A, 0, lambda w: False)
