@@ -124,11 +124,6 @@ class MooreCoalgebra:
             _check_row(self, x, row)
         self.out = out  # normalised copy: the caller's dict is left as it was
 
-    def succ(self, x, a) -> MonadValue:
-        self.states.require(x)
-        self.alphabet.require(a)
-        return self.trans[x][a]
-
 
 def _base_states(mv: MonadValue):
     if mv.kind is MonadKind.DOUBLE_POW:

@@ -155,9 +155,6 @@ class FiniteFunc:
     def domain(self) -> tuple:
         return tuple(k for k, _ in self.entries)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def _canon_key_(self):
         return _cached_key(self, lambda: (7, canon_key(self.entries)))
 
@@ -267,9 +264,6 @@ class MonadValue:
             raise KernelError("mass is only defined on subdistribution values")
         return sum((w for _, w in self.payload), Fraction(0))
 
-    def is_empty(self) -> bool:
-        return not self.payload
-
     def __repr__(self):  # compact, payload-only
         if self.kind is MonadKind.POW:
             return "{" + ", ".join(repr(e) for e in self.payload) + "}"
@@ -310,14 +304,6 @@ def double_pow(sets: Iterable[Iterable]) -> MonadValue:
     """Canonical double-powerset value: inner and outer sets sorted, dup-free."""
     inner = dict.fromkeys(pow_value(s).payload for s in sets)
     return MonadValue(MonadKind.DOUBLE_POW, tuple(sorted(inner, key=canon_key)))
-
-
-def make_value(kind: MonadKind, items) -> MonadValue:
-    if kind is MonadKind.POW:
-        return pow_value(items)
-    if kind is MonadKind.SUBDIST:
-        return sub_dist(items)
-    return double_pow(items)
 
 
 def _require_monad(kind: MonadKind, op: str) -> None:

@@ -35,13 +35,20 @@ def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) 
     """All words of length <= depth, in length-then-alphabet order."""
     if depth < 0:
         raise KernelError("depth must be >= 0")
-    count = sum(len(alphabet) ** i for i in range(depth + 1))
-    if count > guard:
-        raise SizeGuardError(f"{count} words exceeds guard {guard}")
+    count, level = 0, 1  # words up to some length, words of that length
+    for _ in range(depth + 1):
+        count += level
+        if count > guard:
+            raise SizeGuardError(f"more than {guard} words up to length {depth}")
+        level *= len(alphabet)
+        if not level:
+            break
     words: list[tuple] = [()]
     level: list[tuple] = [()]
     for _ in range(depth):
         level = [w + (a,) for w in level for a in alphabet]
+        if not level:
+            break
         words.extend(level)
     return words
 
@@ -96,6 +103,8 @@ def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAU
                     trees.append(cand)
         if len(trees) > guard:
             raise SizeGuardError(f"{len(trees)} trees exceeds guard {guard}")
+        if len(trees) == len(layer):  # a fixpoint: deeper layers add nothing either
+            break
     return sorted(trees, key=canon_key)
 
 

@@ -9,10 +9,12 @@ from tracekit.engines import (
     GeneralizedCoalgebra,
     GenerativeCoalgebra,
     MooreCoalgebra,
+    StrangeCoalgebra,
     TreeCoalgebra,
 )
 from tracekit.kernel import (
     CHECK,
+    STAR,
     Done,
     Modality,
     MonadKind,
@@ -115,6 +117,17 @@ def random_tree_automaton(seed: int) -> TreeCoalgebra:
              for kids in _tuples(list(states), n)]
     c = {x: pow_value(nd for nd in nodes if rng.random() < 0.35) for x in states}
     return TreeCoalgebra(states, signature, MonadKind.POW, Modality.JOIN, c)
+
+
+def random_strange(seed: int) -> StrangeCoalgebra:
+    """Each state may stop (STAR) and moves to a few of the states."""
+    rng = random.Random(("strange", seed).__repr__())
+    states = _states(rng)
+    c = {}
+    for x in states:
+        stop = [STAR] if rng.random() < 0.5 else []
+        c[x] = pow_value(stop + [y for y in states if rng.random() < 0.4])
+    return StrangeCoalgebra(states, c)
 
 
 def _tuples(elems: list, n: int) -> list:

@@ -8,7 +8,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 import time
 
 from tests import gen, oracles
-from tracekit import zoo
+from tests.fixtures import load
 from tracekit.engines import (
     compare_semantics,
     em_eval,
@@ -259,7 +259,7 @@ def test_criterion_4_law_suite():
 def test_criterion_5_counterexample_reproduction():
     started = time.perf_counter()
     violations = []
-    sr = zoo.strange_pair()
+    sr = load("strange_pair")
     for n in range(7):
         if logic_eval_strange(sr, n)["x"][n] != logic_eval_strange(sr, n)["y"][n]:
             violations.append(("logic differs", n))

@@ -3,23 +3,30 @@
 import glob
 import json
 import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tests import gen
-from tracekit import engines, zoo
+from tests.fixtures import load
+from tracekit import engines
 from tracekit.cli import (
     MachineFormatError,
     main,
     parse_machine,
     run_command,
     serialize_machine,
+    strange_pair,
 )
 from tracekit.engines import GenerativeCoalgebra, MooreCoalgebra, compare_semantics
 from tracekit.kernel import CHECK, Done, KernelError, MonadKind, Move, Universe, sub_dist
 
 FIXTURES = "machines"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _strip_timing(report: dict) -> dict:
@@ -66,7 +73,11 @@ def test_parse_error_reports_line(tmp_path):
         parse_machine(str(p))
 
 
-#: fixture, in-place edit (or replacement document), location the error must name
+#: edits that leave no file, or a directory, where the machine file should be
+MISSING, DIRECTORY = object(), object()
+
+#: fixture, in-place edit (or replacement document, raw text or bytes, or MISSING or
+#: DIRECTORY), location the error must name
 MALFORMED = [
     ("tree_fc", lambda d: d["signature"].update(c="zero"), "signature['c']"),
     ("tree_fc", lambda d: d["signature"].update(c="2"), "signature['c']"),
@@ -140,6 +151,30 @@ MALFORMED = [
      "transitions['sL']: state is semantic"),
     ("generalized_lookup", lambda d: d.update(semantic_states="sL"),
      "semantic_states: expected an object"),
+    ("nda_exists", lambda d: d.update(states=5), "states: expected a list of strings"),
+    ("nda_exists", lambda d: d.update(states=[["q0"], "q1"]),
+     "states: expected a list of strings"),
+    ("nda_exists", lambda d: d.update(kind=["moore"]), "kind: expected one of"),
+    ("generative_ab", lambda d: d.update(terminals=5), "terminals: expected a list of strings"),
+    ("generative_ab", lambda d: d["transitions"].update(p=5), "transitions['p']: expected a list"),
+    ("tree_fc", lambda d: d["transitions"].update(x=5), "transitions['x']: expected a list"),
+    ("strange_pair", lambda d: d["transitions"].update(x=5), "transitions['x']: expected a list"),
+    ("io_self_loop", lambda d: d["transitions"].update(s=5), "transitions['s']: expected a list"),
+    ("tree_fc", lambda d: d["transitions"].update(x=[[["f"], ["y", "y"]]]),
+     "transitions['x']: undeclared symbol ['f']"),
+    ("io_reactive", lambda d: d["arities"].update(k=[["0"]]),
+     "arities['k']: expected a list of strings"),
+    ("nda_exists", lambda d: d.update(alphabet="ab"), "alphabet: expected a list of strings"),
+    ("nda_exists", lambda d: json.dumps(d).replace('"q1": true', '"q1": true, "q1": false'),
+     "outputs: duplicate key 'q1'"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"]["table"].append([["b"], True]),
+     "semantic_states['sL']: word ['b'] listed twice"),
+    ("generalized_lookup", lambda d: d["semantic_states"]["sL"].update(depth=1_000_000),
+     "semantic_states['sL']: more than 20000 words"),
+    ("nda_exists", lambda d: MISSING, "bad.json: cannot read the file"),
+    ("nda_exists", lambda d: DIRECTORY, "bad.json: cannot read the file"),
+    ("nda_exists", lambda d: json.dumps(d).replace("q0", "qé").encode("latin-1"),
+     "bad.json: not UTF-8 text"),
 ]
 
 
@@ -168,12 +203,25 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "moore-output-state", "moore-row-state", "moore-row-letter",
                               "generative-row-state", "tree-row-state", "strange-row-state",
                               "io-row-state", "semantic-state-output",
-                              "semantic-state-row", "semantic-states-not-object"])
+                              "semantic-state-row", "semantic-states-not-object",
+                              "states-not-list", "state-not-name", "kind-list",
+                              "terminals-not-list", "generative-row-number",
+                              "tree-row-number", "strange-row-number", "io-row-number",
+                              "tree-symbol-list", "arity-answer-list", "alphabet-string",
+                              "duplicate-key", "semantic-word-twice", "semantic-depth-huge",
+                              "missing-file", "directory", "not-utf8"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
+    if doc is DIRECTORY:
+        p.mkdir()
+    elif isinstance(doc, bytes):
+        p.write_bytes(doc)
+    elif isinstance(doc, str):
+        p.write_text(doc)
+    elif doc is not MISSING:
+        p.write_text(json.dumps(doc))
     with pytest.raises(MachineFormatError, match=re.escape(location)) as err:
         parse_machine(str(p))
     field = location.split(": ")[0]
@@ -182,23 +230,8 @@ def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsy
     assert capsys.readouterr().err.startswith("error:")
 
 
-#: fixtures with a twin in `zoo`; the io fixtures answer "0"/"1" where zoo answers 0/1
-ZOO_TWINS = {
-    "alternating": zoo.alternating_single,
-    "generalized_lookup": zoo.generalized_lookup,
-    "generative_ab": zoo.generative_ab,
-    "generative_half": zoo.generative_half,
-    "nda_exists": zoo.nda_exists,
-    "pa_chain": zoo.pa_chain,
-    "strange_pair": zoo.strange_pair,
-    "tree_fc": zoo.tree_fc,
-}
-
-
-@pytest.mark.parametrize("fixture", sorted(ZOO_TWINS))
-def test_fixture_matches_its_zoo_twin(fixture):
-    assert serialize_machine(parse_machine(f"{FIXTURES}/{fixture}.json")) == \
-        serialize_machine(ZOO_TWINS[fixture]())
+def test_counterexample_machine_is_the_strange_pair_fixture():
+    assert strange_pair() == load("strange_pair")
 
 
 def test_round_trip_idempotent(tmp_path):
@@ -209,6 +242,80 @@ def test_round_trip_idempotent(tmp_path):
         p.write_text(json.dumps(doc, ensure_ascii=False))
         m2 = parse_machine(str(p))
         assert serialize_machine(m2) == doc, path
+
+
+#: every kind of machine `tests/gen.py` builds, as a function of the seed
+GENERATED = {
+    **{f"moore-{c}": (lambda s, c=c: gen.random_moore(s, c)) for c in gen.CONFIGS},
+    "alternating": gen.random_alternating,
+    **{f"generative-{k.value}": (lambda s, k=k: gen.random_generative(s, k))
+       for k in (MonadKind.POW, MonadKind.SUBDIST)},
+    "tree": gen.random_tree_automaton,
+    "strange": gen.random_strange,
+    **{f"io-{mode}": (lambda s, mode=mode: gen.random_io_system(s, mode))
+       for mode in ("generative", "reactive")},
+    **{f"generalized-{c}": (lambda s, c=c: gen.random_generalized(s, c, 2))
+       for c in gen.CONFIGS},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_parse_inverts_serialise_on_generated_machines(kind, tmp_path):
+    p = tmp_path / "machine.json"
+    for seed in range(40):
+        machine = GENERATED[kind](seed)
+        doc = serialize_machine(machine)
+        p.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        back = parse_machine(str(p))
+        assert back == machine, seed
+        assert serialize_machine(back) == doc, seed
+
+
+#: names and values that occur in the fixtures, so that mutations stay close to valid files
+_TOKENS = ["q0", "q1", "a", "b", "x", "y", "s", "s0", "sL", "k", "0", "1", "1/2", "3/2", "✓",
+           "*", "c", "f", "pow", "subdist", "doublepow", "join", "expect", "generative",
+           "reactive", "moore", "tree", "depth", "table"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([-1, 0, 1, 2, 1_000_000, *_TOKENS]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_TOKENS), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(node, data):
+    """`node` with one value somewhere inside it replaced, dropped or added."""
+    children = list(node) if isinstance(node, dict) else range(len(node)) \
+        if isinstance(node, list) else []
+    if children and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(children))
+        node[key] = _mutate(node[key], data)
+        return node
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "drop" and children:
+        del node[data.draw(st.sampled_from(children))]
+    elif action == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(_TOKENS))] = data.draw(_JSON)
+    elif action == "add" and isinstance(node, list):
+        node.append(data.draw(_JSON))
+    else:
+        return data.draw(_JSON)
+    return node
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_fixture_parses_or_fails_with_machine_format_error(data, tmp_path):
+    name = data.draw(st.sampled_from(FIXTURE_NAMES))
+    doc = json.loads((ROOT / FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    try:
+        parse_machine(str(p))
+    except MachineFormatError:
+        pass
 
 
 def test_semantic_table_is_kept_in_word_order(tmp_path):
@@ -469,6 +576,25 @@ def test_main_prints_dot(capsys):
     code = main(["determinise", f"{FIXTURES}/nda_exists.json"])
     assert code == 0
     assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_depth_beyond_the_size_guard_fails_fast(capsys):
+    assert main(["semantics", f"{FIXTURES}/nda_exists.json", "--depth", "100000"]) == 2
+    assert "more than 20000 words" in capsys.readouterr().err
+
+
+def _readme_commands() -> list:
+    """The `tracekit ...` lines of the README's CLI block, as argument lists."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tracekit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = [str(tmp_path / a) if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_main_error_exit_code(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tests import gen, oracles
-from tracekit import zoo
+from tests.fixtures import load
 from tracekit.engines import (
     GeneralizedCoalgebra,
     MooreCoalgebra,
@@ -51,19 +51,19 @@ F = Fraction
 
 def test_moore_leaves_the_callers_outputs_unchanged():
     out = {"u": 0, "v": 1}
-    p1 = zoo.pa_chain()
+    p1 = load("pa_chain")
     m = MooreCoalgebra(p1.states, p1.alphabet, p1.kind, p1.alg, out, p1.trans)
     assert out == {"u": 0, "v": 1} and all(type(v) is int for v in out.values())
     assert all(type(v) is Fraction for v in m.out.values())
 
 
 def test_node_values_must_match_branching_kind():
-    g = zoo.generalized_lookup()
+    g = load("generalized_lookup")
     _tag, (om, fam) = g.c["s0"]
     c = dict(g.c, s0=("node", (om, dict(fam, a=sub_dist({"sL": F(1)})))))
     with pytest.raises(KernelError, match="kind subdist"):
         GeneralizedCoalgebra(g.states, g.alphabet, g.kind, g.alg, c)
-    t = zoo.tree_fc()
+    t = load("tree_fc")
     c = dict(t.c, x=sub_dist({("c", ()): F(1)}))
     with pytest.raises(KernelError, match="kind subdist"):
         TreeCoalgebra(t.states, t.signature, t.kind, t.alg, c)
@@ -84,13 +84,13 @@ def test_semantic_table_values_are_range_checked(value, message):
 
 
 def test_em_nda_examples():
-    n1 = step_view(zoo.nda_exists())
+    n1 = step_view(load("nda_exists"))
     assert em_eval(n1, "q0", ("a", "b")) is True
     assert em_eval(n1, "q0", ()) is False
 
 
 def test_em_nda_language_depth2():
-    lang = em_language(step_view(zoo.nda_exists()), 2)["q0"]
+    lang = em_language(step_view(load("nda_exists")), 2)["q0"]
     assert dict(lang.items()) == {
         (): False, ("a",): True, ("b",): False,
         ("a", "a"): True, ("a", "b"): True, ("b", "a"): False, ("b", "b"): False,
@@ -98,18 +98,18 @@ def test_em_nda_language_depth2():
 
 
 def test_em_language_depth0_is_output():
-    n1 = step_view(zoo.nda_exists())
+    n1 = step_view(load("nda_exists"))
     assert dict(em_language(n1, 0)["q1"].items()) == {(): True}
 
 
 def test_em_pa_examples():
-    p1 = step_view(zoo.pa_chain())
+    p1 = step_view(load("pa_chain"))
     assert em_eval(p1, "u", ("a", "a")) == F(3, 4)
     assert dict(em_language(p1, 1)["u"].items()) == {(): F(0), ("a",): F(1, 2)}
 
 
 def test_em_unknown_state_and_letter():
-    n1 = step_view(zoo.nda_exists())
+    n1 = step_view(load("nda_exists"))
     with pytest.raises(KernelError):
         em_eval(n1, "nope", ())
     with pytest.raises(KernelError):
@@ -307,7 +307,7 @@ def test_semantic_values_outside_the_output_denominators():
 
 
 def test_em_language_states_scope():
-    for m in (zoo.nda_exists(), zoo.pa_chain(), zoo.generative_half()):
+    for m in (load("nda_exists"), load("pa_chain"), load("generative_half")):
         view = step_view(m)
         whole = em_language(view, 3)
         for x in m.states:
@@ -317,13 +317,13 @@ def test_em_language_states_scope():
         with pytest.raises(KernelError):
             em_language(view, 3, ["nope"])
     with pytest.raises(KernelError, match="depth"):
-        em_language(step_view(zoo.pa_chain()), -1)
+        em_language(step_view(load("pa_chain")), -1)
 
 
 def test_forward_engine_refuses_what_it_cannot_run():
     with pytest.raises(KernelError, match="semantic states"):
-        em_language(step_view(zoo.generalized_lookup()), 1)
-    alt = step_view(zoo.alternating_single())
+        em_language(step_view(load("generalized_lookup")), 1)
+    alt = step_view(load("alternating"))
     with pytest.raises(KernelError, match="needs a monad"):
         em_language(alt, 1)
 
@@ -335,13 +335,13 @@ def test_em_language_of_no_states_is_empty():
         view = step_view(MooreCoalgebra(Universe([]), Universe(["a"]), kind, alg, {}, {}))
         assert em_language(view, 2) == {}
         assert logic_language(view, 2) == {}
-    assert em_language(step_view(zoo.alternating_single()), 2, []) == {}
+    assert em_language(step_view(load("alternating")), 2, []) == {}
 
 
 def test_em_language_size_guard_fires_before_the_walk():
     # 20,001 words on a one-letter alphabet; the guard is 20,000
     with pytest.raises(SizeGuardError):
-        em_language(step_view(zoo.pa_chain()), 20_000)
+        em_language(step_view(load("pa_chain")), 20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_em_language_size_guard_fires_before_the_walk():
 
 
 def test_determinise_nda_reachable_subsets():
-    det = determinise_bt(zoo.nda_exists())
+    det = determinise_bt(load("nda_exists"))
     got = {frozenset(s) for s in det.subsets}
     # {q1} is reachable: {q0} -a-> {q0,q1} -b-> {q1}
     assert got == {frozenset(["q0"]), frozenset(["q0", "q1"]),
@@ -357,7 +357,7 @@ def test_determinise_nda_reachable_subsets():
 
 
 def test_determinise_language_matches_forward():
-    n1 = zoo.nda_exists()
+    n1 = load("nda_exists")
     det = determinise_bt(n1)
     for x in n1.states:
         for d in range(4):
@@ -367,7 +367,7 @@ def test_determinise_language_matches_forward():
 
 
 def test_determinise_deterministic_input_stays_singleton():
-    base = zoo.nda_exists()
+    base = load("nda_exists")
     first = list(base.states)[0]
     single = {x: {a: pow_value([first]) for a in base.alphabet} for x in base.states}
     dm = MooreCoalgebra(base.states, base.alphabet, MonadKind.POW, Modality.JOIN,
@@ -378,7 +378,7 @@ def test_determinise_deterministic_input_stays_singleton():
 
 def test_determinise_rejects_subdist():
     with pytest.raises(KernelError):
-        determinise_bt(zoo.pa_chain())
+        determinise_bt(load("pa_chain"))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +386,14 @@ def test_determinise_rejects_subdist():
 
 
 def test_em_ta_examples():
-    g1 = step_view(zoo.generative_ab())
+    g1 = step_view(load("generative_ab"))
     assert em_eval(g1, "p", ("a", "b")) is True
     assert em_eval(g1, "p", ()) is False
     assert em_eval(g1, "q", ()) is True
 
 
 def test_kleisli_traces_examples():
-    g1 = zoo.generative_ab()
+    g1 = load("generative_ab")
     ts = kleisli_traces(g1, 2)["p"]
     assert ts.payload == pow_value([(("a",), CHECK), (("a", "a"), CHECK),
                                     (("a", "b"), CHECK)])
@@ -401,14 +401,14 @@ def test_kleisli_traces_examples():
 
 
 def test_kleisli_traces_subdist_exact():
-    gh = zoo.generative_half()
+    gh = load("generative_half")
     ts = kleisli_traces(gh, 1)["p"]
     assert ts.payload == sub_dist({((), CHECK): F(1, 2), (("a",), CHECK): F(1, 4)})
     assert ts.retained_mass() == F(3, 4)
 
 
 def test_kbar_characteristic():
-    g1 = zoo.generative_ab()
+    g1 = load("generative_ab")
     lang = kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2)
     true_words = {w for w, v in lang.items() if v}
     assert true_words == {("a",), ("a", "a"), ("a", "b")}
@@ -422,7 +422,7 @@ def test_kbar_empty_trace_set():
 
 
 def test_kbar_triangle_with_forward_engine():
-    g1 = zoo.generative_ab()
+    g1 = load("generative_ab")
     eq, _ = language_equal(kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2),
                            em_language(step_view(g1), 2)["p"])
     assert eq
@@ -436,7 +436,7 @@ def test_kbar_rejects_foreign_terminal():
 
 
 def test_kbar_is_a_join_morphism():
-    g1 = zoo.generative_ab()
+    g1 = load("generative_ab")
     A = g1.labels
     s1 = kleisli_traces(g1, 2)["p"]
     s2 = kleisli_traces(g1, 2)["q"]
@@ -450,7 +450,7 @@ def test_kbar_is_a_join_morphism():
 
 
 def test_kbar_respects_convex_combination():
-    gh = zoo.generative_half()
+    gh = load("generative_half")
     A = gh.labels
     s1 = kleisli_traces(gh, 2)["p"]
     s2 = kleisli_traces(gh, 2)["q"]
@@ -469,14 +469,14 @@ def test_kbar_respects_convex_combination():
 
 
 def test_logic_alternating_machine():
-    aa = step_view(zoo.alternating_single())
+    aa = step_view(load("alternating"))
     assert logic_eval(aa, "x", ("a",)) is False
     assert logic_eval(aa, "x", ()) is False
     assert logic_eval(aa, "y", ()) is True
 
 
 def test_logic_matches_forward_on_nda():
-    n1 = step_view(zoo.nda_exists())
+    n1 = step_view(load("nda_exists"))
     assert logic_eval(n1, "q0", ("a", "b")) is True
     for x in n1.states:
         eq, _ = language_equal(logic_language(n1, 3)[x], em_language(n1, 3)[x])
@@ -484,13 +484,13 @@ def test_logic_matches_forward_on_nda():
 
 
 def test_logic_epsilon_is_output():
-    n1 = zoo.nda_exists()
+    n1 = load("nda_exists")
     for x in n1.states:
         assert logic_eval(step_view(n1), x, ()) == n1.out[x]
 
 
 def test_logic_tree_examples():
-    t1 = zoo.tree_fc()
+    t1 = load("tree_fc")
     fcc = Tree("f", (Tree("c"), Tree("c")))
     assert logic_eval_tree(t1, "x", fcc) is True
     assert logic_eval_tree(t1, "x", Tree("c")) is False
@@ -498,26 +498,26 @@ def test_logic_tree_examples():
 
 
 def test_logic_tree_arity_mismatch():
-    t1 = zoo.tree_fc()
+    t1 = load("tree_fc")
     with pytest.raises(KernelError):
         logic_eval_tree(t1, "x", Tree("f", (Tree("c"),)))
 
 
 def test_logic_generative_examples():
-    g1 = step_view(zoo.generative_ab())
+    g1 = step_view(load("generative_ab"))
     assert logic_eval(g1, "p", ("a", "b")) is True
     assert logic_eval(g1, "q", ()) is True
     assert logic_eval(g1, "p", ("b",)) is False
 
 
 def test_logic_strange_examples():
-    sr = zoo.strange_pair()
+    sr = load("strange_pair")
     assert logic_eval_strange(sr, 5)["x"][5] is True
     assert logic_eval_strange(sr, 0)["y"][0] is True
 
 
 def test_strange_separation():
-    sr = zoo.strange_pair()
+    sr = load("strange_pair")
     gc = strange_to_generative(sr)
     for n in range(7):
         assert logic_eval_strange(sr, n)["x"][n] == logic_eval_strange(sr, n)["y"][n]
@@ -533,19 +533,19 @@ def test_strange_separation():
 
 
 def test_cia_direct_lookup():
-    g = step_view(zoo.generalized_lookup())
+    g = step_view(load("generalized_lookup"))
     assert logic_eval(g, "sL", ("b",)) is True
     assert logic_eval(g, "sL", ("a",)) is False
 
 
 def test_cia_one_step_then_lookup():
-    g = step_view(zoo.generalized_lookup())
+    g = step_view(load("generalized_lookup"))
     assert logic_eval(g, "s0", ("a", "b")) is True
     assert logic_eval(g, "s0", ("a", "a")) is False
 
 
 def test_cia_depth_underflow():
-    g = step_view(zoo.generalized_lookup())
+    g = step_view(load("generalized_lookup"))
     # residual of length 2 still fits the depth-2 semantic language
     assert logic_eval(g, "s0", ("a", "b", "b")) is False
     with pytest.raises(KernelError):
@@ -578,7 +578,7 @@ def _leq(kind, a: MonadValue, b: MonadValue) -> bool:
 
 
 def test_kleisli_iterates_monotone_and_stable():
-    g1 = zoo.generative_ab()
+    g1 = load("generative_ab")
     depth = 3
     chain = kleisli_iterates(g1, depth, depth + 3)
     for k in range(len(chain) - 1):
@@ -601,25 +601,25 @@ def _restrict(mv: MonadValue, m: int) -> MonadValue:
 
 
 def test_compare_moore_all_equal():
-    rep = compare_semantics(zoo.nda_exists(), 3)
+    rep = compare_semantics(load("nda_exists"), 3)
     assert rep.all_equal and set(rep.engines) == {"em", "logic"}
 
 
 def test_compare_generative_all_equal():
-    rep = compare_semantics(zoo.generative_ab(), 3)
+    rep = compare_semantics(load("generative_ab"), 3)
     assert rep.all_equal
     assert set(rep.engines) == {"em", "logic", "kleisli"}
     assert rep.collapse_injective is True
 
 
 def test_compare_subdist_reports_mass():
-    rep = compare_semantics(zoo.generative_half(), 2)
+    rep = compare_semantics(load("generative_half"), 2)
     assert rep.all_equal
     assert rep.retained_mass["p"] == F(7, 8)
 
 
 def test_compare_strange_flags_collapse():
-    rep = compare_semantics(zoo.strange_pair(), 6)
+    rep = compare_semantics(load("strange_pair"), 6)
     assert not rep.all_equal
     assert rep.collapse_witnesses == [("x", "y")]
     assert rep.collapse_injective is False

@@ -37,6 +37,17 @@ def test_enumerate_words_guard():
         enumerate_words(Universe(list("abcdefgh")), 6)
 
 
+def test_enumerate_words_guard_stops_counting_at_the_guard():
+    assert len(enumerate_words(Universe(["a"]), 19_999)) == 20_000
+    with pytest.raises(SizeGuardError, match="more than 20000 words"):
+        enumerate_words(Universe(["a", "b"]), 10**9)
+    assert enumerate_words(Universe([]), 10**9) == [()]
+
+
+def test_enumerate_trees_stops_at_a_fixpoint():
+    assert enumerate_trees({"c": 0, "d": 0}, 10**9) == [Tree("c"), Tree("d")]
+
+
 def test_enumerate_trees_single_constant():
     assert enumerate_trees({"c": 0}, 2) == [Tree("c")]
 

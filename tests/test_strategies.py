@@ -3,7 +3,7 @@
 import pytest
 
 from tests import gen, oracles
-from tracekit import zoo
+from tests.fixtures import load
 from tracekit.kernel import KernelError, Universe
 from tracekit.strategies import (
     IOSignature,
@@ -20,8 +20,8 @@ from tracekit.strategies import (
 
 
 def test_io_traces_self_loop():
-    io1 = zoo.io_self_loop()
-    assert io_traces(io1, "s", 2).plays == frozenset({("k",), ("k", 0, "k"), ("k", 1, "k")})
+    io1 = load("io_self_loop")
+    assert io_traces(io1, "s", 2).plays == frozenset({("k",), ("k", "0", "k"), ("k", "1", "k")})
 
 
 def test_io_traces_deadlock_is_empty():
@@ -37,7 +37,7 @@ def test_reactive_traces_contain_empty_play():
 
 
 def test_strat_init():
-    io1 = zoo.io_self_loop()
+    io1 = load("io_self_loop")
     assert strat_init(io_traces(io1, "s", 2)) == frozenset({"k"})
     from tracekit.strategies import Strategy
     assert strat_init(Strategy("generative", 1, frozenset())) == frozenset()
@@ -55,13 +55,13 @@ def test_strat_residual():
 
 
 def test_residual_matches_lower_bound_traces():
-    io1 = zoo.io_self_loop()
+    io1 = load("io_self_loop")
     sigma = io_traces(io1, "s", 2)
-    assert strat_residual(sigma, "k", 0).plays == io_traces(io1, "s", 1).plays
+    assert strat_residual(sigma, "k", "0").plays == io_traces(io1, "s", 1).plays
 
 
 def test_coalgebra_coherence_and_mutation():
-    io1 = zoo.io_self_loop()
+    io1 = load("io_self_loop")
     assert check_strategy_coalgebra(io1, 3).holds
     mutated = check_strategy_coalgebra(io1, 3, residual_bound=lambda b: b)
     assert not mutated.holds and mutated.counterexample is not None
@@ -106,9 +106,9 @@ def test_pack_rejects_empty_component():
 
 
 def test_determinise_self_loop():
-    det = determinise_io(zoo.io_self_loop())
+    det = determinise_io(load("io_self_loop"))
     assert det.subsets == [frozenset(["s"])]
-    assert det.succ[(frozenset(["s"]), "k", 0)] == frozenset(["s"])
+    assert det.succ[(frozenset(["s"]), "k", "0")] == frozenset(["s"])
 
 
 def test_determinise_merges_positionwise():
@@ -132,15 +132,15 @@ def test_determinise_deterministic_input():
 
 
 def test_determinise_preserves_traces_on_fixture():
-    io1 = zoo.io_self_loop()
+    io1 = load("io_self_loop")
     det = determinise_io(io1)
     for b in range(4):
         assert det.traces(frozenset(["s"]), b).plays == io_traces(io1, "s", b).plays
 
 
 def test_reactive_fixture_traces():
-    re1 = zoo.io_reactive_echo()
-    assert io_traces(re1, "s0", 2).plays == frozenset({(), ("k", 0)})
+    re1 = load("io_reactive")
+    assert io_traces(re1, "s0", 2).plays == frozenset({(), ("k", "0")})
     assert io_traces(re1, "s1", 2).plays == frozenset({()})
     assert check_strategy_coalgebra(re1, 3).holds
 
