@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -97,6 +98,10 @@ REQUIRED = object()
 OPTIONAL = object()
 
 
+#: the only string form of a rational: an integer, or an integer over a denominator
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(v, where: str) -> Fraction:
     if isinstance(v, bool):
         raise MachineFormatError(f"{where}: expected a rational, got a boolean")
@@ -104,6 +109,8 @@ def parse_rational(v, where: str) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         try:
+            if not _RATIONAL.fullmatch(v):
+                raise ValueError(v)
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
             raise MachineFormatError(f"{where}: bad rational {v!r}") from None
@@ -854,8 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled law inputs")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--dot", action="store_true",
-                       help="print DOT text instead of the JSON report")
         return p
 
     add("semantics", help="per-state truncated language for one engine")
@@ -876,16 +881,17 @@ def main(argv: Optional[list] = None) -> int:
     except KernelError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.command == "determinise" or args.dot:
-        text = report.get("dot")
-        if text is None:
-            print("error: no DOT output for this command", file=sys.stderr)
-            return 2
+    if args.command == "determinise":
+        text = report["dot"]
     else:
         text = json.dumps(report, indent=2, ensure_ascii=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

@@ -3,15 +3,19 @@
 Every word machine -- Moore, generative (through `laws.canonical_rho2`) and
 generalized -- is read through one `StepView`: an output and a per-letter
 branching step for each ordinary state, a ready-made language for each
-semantic state.  `step_view` builds it; two engines run on it:
+semantic state.  `step_view` builds it, together with the one integer
+encoding of it that both word engines read (state index, successor masks,
+integer rows, output mask or vector, denominators); two engines run on it:
 
 * forward engine (`em_eval`, `em_language`): run the branching state
   forward (generalised subset / distribution construction) and collapse
   outputs at the end.  `em_eval` runs one word through `monad_bind`;
   `em_language(view, depth, states=None)` tabulates every state in one
-  call: a subdistribution belief is an integer vector over `D * L**k` after
-  k letters, a powerset belief a subset whose output and successors are
-  memoised across start states;
+  call, by one prefix pass per start state over the word list: a word's
+  belief is its prefix's belief advanced by the last letter.  A
+  subdistribution belief is an integer vector over `D * L**k` after k
+  letters, a powerset belief a state mask whose successors are memoised
+  across start states;
 * logical engine (`logic_eval`, `logic_language`): evaluate a word as a
   test on its suffixes, looking the rest of the word up as soon as a
   semantic state is reached (the CLI's `--engine cia` on generalized
@@ -40,8 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from typing import Optional
 
 from tracekit.kernel import (
@@ -68,6 +73,7 @@ from tracekit.languages import (
     Tree,
     TruncatedLanguage,
     TruncatedTraceSet,
+    count_words,
     enumerate_words,
     language_equal,
 )
@@ -267,11 +273,23 @@ class StepView:
     ordinary states, a ready-made language for each semantic state.
 
     The machine constructors have already checked every row's kind and
-    every output.  A subdistribution view also carries its steps as
-    integers: `scale` (`L`) is the lcm of every transition weight's
-    denominator and `int_trans[y][a]` holds (successor, `L` * weight) pairs;
-    `denom` (`D`) is the lcm of the denominators of every output and every
-    semantic-table value, and `int_out[y]` is `D` * output.
+    every output.  The view also holds the one integer encoding both word
+    engines read, built once here.  State `y` is position `index[y]` of
+    `states` and bit `1 << index[y]` of a state mask; `succ[a]` lists a
+    (bit, successor mask) pair for every ordinary state.
+
+    * On a boolean view `out_mask` has the bits of the states whose output
+      is true; on a double-powerset view `rows[a][i]` holds one mask per
+      conjunct set of state i's step under `a`.
+    * On a subdistribution view `scale` (`L`) is the lcm of every
+      transition weight's denominator and `rows[a][i]` holds state i's
+      (j, `L` * weight) pairs; `denom` (`D`) is the lcm of the denominators
+      of every output and every semantic-table value, `int_out[i]` is `D` *
+      output, and `dens(k)` is `D * L**k`, the denominator of a value after
+      k letters.
+
+    `rows` and `int_out` are aligned with `states`; a semantic state has an
+    empty row and output 0.
     """
 
     states: Universe
@@ -281,25 +299,43 @@ class StepView:
     out: dict  # ordinary state -> output
     trans: dict  # ordinary state -> letter -> MonadValue over states
     semantic: dict  # semantic state -> TruncatedLanguage
+    index: dict = field(init=False)
+    succ: dict = field(init=False)
+    out_mask: int = field(init=False, default=0)
+    rows: dict = field(init=False, default_factory=dict)
     scale: int = field(init=False, default=1)
-    int_trans: dict = field(init=False, default_factory=dict)
     denom: int = field(init=False, default=1)
-    int_out: dict = field(init=False, default_factory=dict)
+    int_out: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        self.index = {y: i for i, y in enumerate(self.states)}
+        self.succ = {a: [(1 << self.index[y], self._mask(_base_states(row[a])))
+                         for y, row in self.trans.items()]
+                     for a in self.alphabet}
         if self.kind is not MonadKind.SUBDIST:
+            self.out_mask = self._mask(y for y, v in self.out.items() if v)
+            if self.kind is MonadKind.DOUBLE_POW:
+                self.rows = self._rows(lambda mv: tuple(map(self._mask, mv.payload)))
             return
         self.scale = lcm(*(w.denominator for row in self.trans.values()
                            for mv in row.values() for _, w in mv.payload))
-        self.int_trans = {y: {a: tuple((z, w.numerator * (self.scale // w.denominator))
-                                       for z, w in mv.payload)
-                              for a, mv in row.items()}
-                          for y, row in self.trans.items()}
+        self.rows = self._rows(lambda mv: tuple(
+            (self.index[z], w.numerator * (self.scale // w.denominator)) for z, w in mv.payload))
         self.denom = lcm(*(v.denominator for v in self.out.values()),
                          *(v.denominator for lang in self.semantic.values()
                            for v in lang.table.values()))
-        self.int_out = {y: v.numerator * (self.denom // v.denominator)
-                        for y, v in self.out.items()}
+        self.int_out = [self.out[y].numerator * (self.denom // self.out[y].denominator)
+                        if y in self.out else 0 for y in self.states]
+
+    def _mask(self, ys) -> int:
+        return reduce(or_, [1 << self.index[y] for y in ys], 0)
+
+    def _rows(self, encode) -> dict:
+        return {a: [encode(self.trans[y][a]) if y in self.trans else () for y in self.states]
+                for a in self.alphabet}
+
+    def dens(self, k: int) -> int:
+        return self.denom * self.scale ** k
 
 
 def step_view(machine) -> StepView:
@@ -353,15 +389,16 @@ def em_eval(view: StepView, x, word) -> object:
 
 
 def em_language(view: StepView, depth: int, states=None) -> dict:
-    """Tabulated forward semantics of every state, or of `states` only, each
-    prefix's belief extended by one letter at a time, depth-first.  A
-    machine with no states has an empty semantics.
+    """Tabulated forward semantics of every state, or of `states` only, from
+    one prefix pass per start state over every word up to `depth`: a word's
+    belief is its prefix's belief advanced by the last letter.  A machine
+    with no states has an empty semantics.
 
-    Subdistribution beliefs are integer vectors: after k letters the
-    belief is over `D * L**k`, so a step multiplies by the integer rows and
-    an entry is one `Fraction`.  Powerset beliefs are subsets; a subset's
-    output and its successor under each letter are computed once for all
-    start states.
+    Subdistribution beliefs are integer vectors over `D * L**k` after k
+    letters, so a step multiplies by the view's integer rows and an entry
+    is one `Fraction`.  Powerset beliefs are state masks; a mask's successor
+    under each letter is computed once for all start states, and its output
+    is one `&` against the view's output mask.
     """
     states = view.states if states is None else [view.states.require(x) for x in states]
     if not states:
@@ -369,16 +406,12 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
     _check_forward(view)
     words = enumerate_words(view.alphabet, depth)  # size guard, before any belief is built
     if view.kind is MonadKind.SUBDIST:
-        # beliefs are lists indexed like `view.states`
-        index = {y: i for i, y in enumerate(view.states)}
-        rows = {a: [[(index[z], q) for z, q in view.int_trans[y][a]] for y in view.states]
-                for a in view.alphabet}
-        out = [view.int_out[y] for y in view.states]
-        dens = [view.denom * view.scale ** k for k in range(depth + 1)]
+        rows, out = view.rows, view.int_out
+        dens = list(map(view.dens, range(depth + 1)))
 
-        def start(x) -> list:
+        def start(i: int) -> list:
             belief = [0] * len(out)
-            belief[index[x]] = 1
+            belief[i] = 1
             return belief
 
         def collapse(belief: list, k: int) -> Fraction:
@@ -392,33 +425,36 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
                         nxt[j] += p * q
             return nxt
     else:
-        modality = any if view.alg is Modality.JOIN else all
-        outputs: dict = {}
-        succ: dict = {}
+        out_mask = view.out_mask
+        memo = {a: {} for a in view.alphabet}  # letter -> mask -> successor mask
 
-        def start(x) -> frozenset:
-            return frozenset([x])
+        def start(i: int) -> int:
+            return 1 << i
 
-        def collapse(u: frozenset, k: int) -> bool:
-            if u not in outputs:
-                outputs[u] = modality(view.out[y] for y in u)
-            return outputs[u]
+        if view.alg is Modality.JOIN:
+            def collapse(u: int, k: int) -> bool:
+                return (u & out_mask) != 0
+        else:
+            def collapse(u: int, k: int) -> bool:
+                return (u & out_mask) == u
 
-        def advance(u: frozenset, a) -> frozenset:
-            if (u, a) not in succ:
-                succ[(u, a)] = frozenset(z for y in u for z in view.trans[y][a].payload)
-            return succ[(u, a)]
+        def advance(u: int, a) -> int:
+            nxt = memo[a].get(u)
+            if nxt is None:
+                nxt = memo[a][u] = reduce(or_, [m for bit, m in view.succ[a] if u & bit], 0)
+            return nxt
 
     languages: dict = {}
+    letters = view.alphabet.elements
+    n = len(letters)
     for x in states:
-        table = dict.fromkeys(words)  # the walk fills it; the order is `words`
-        stack = [((), start(x))]
-        while stack:
-            w, belief = stack.pop()
-            table[w] = collapse(belief, len(w))
-            if len(w) < depth:
-                stack.extend((w + (a,), advance(belief, a)) for a in view.alphabet)
-        languages[x] = TruncatedLanguage(view.alphabet, depth, table)
+        # `words` lists the words of each length in prefix-then-letter order, so
+        # the prefix of words[i + 1] is words[i // n] and its last letter letters[i % n]
+        beliefs = [start(view.index[x])]
+        for i in range(len(words) - 1):
+            beliefs.append(advance(beliefs[i // n], letters[i % n]))
+        languages[x] = TruncatedLanguage(view.alphabet, depth,
+                                         {w: collapse(b, len(w)) for w, b in zip(words, beliefs)})
     return languages
 
 
@@ -497,9 +533,9 @@ def kleisli_iterates(gc: GenerativeCoalgebra, depth: int, n_iters: int) -> list[
 
 def kleisli_traces(gc: GenerativeCoalgebra, depth: int) -> dict:
     """Exact set/subdistribution of complete traces of length <= depth, for
-    every state, read off one Kleene chain."""
-    if depth < 0:
-        raise KernelError("depth must be >= 0")
+    every state, read off one Kleene chain.  Within the word budget of
+    `enumerate_words` over the labels, checked before any iterate is built."""
+    count_words(len(gc.labels), depth)
     last = kleisli_iterates(gc, depth, depth + 1)[-1]
     return {x: TruncatedTraceSet(gc.kind, depth, last[x]) for x in gc.states}
 
@@ -536,71 +572,43 @@ def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
     A word's value at an ordinary state is its output on the empty word, or
     the modality over its successors' values on the tail; a semantic state
     looks the word up.  The values of all states on one word form one
-    vector, computed from the tail's vector at once: on a boolean view an
-    `int` bitmask over `view.states` (bit i set when state i answers true),
-    on an expectation view a list of integer numerators over
-    `D * L**len(word)`.
+    vector, computed from the tail's vector at once with the view's
+    encoding: on a boolean view a state mask (bit i set when state i
+    answers true), on an expectation view a list of integer numerators over
+    `view.dens(len(word))`.
 
     A semantic state asked for a word longer than its depth is poisoned at
     that word, and so is an ordinary state with a poisoned successor on the
     tail.  Returns the vectors and the nonzero poison masks, keyed by word.
     """
-    index = {y: i for i, y in enumerate(view.states)}
-
-    def mask(ys) -> int:
-        m = 0
-        for y in ys:
-            m |= 1 << index[y]
-        return m
-
-    ordinary = [(index[y], row) for y, row in view.trans.items()]
-    semantic = [(index[y], lang) for y, lang in view.semantic.items()]
-    # a state reads its successors' entries: poison spreads along these masks
-    reach = {a: [(1 << i, mask(_base_states(row[a]))) for i, row in ordinary]
-             for a in view.alphabet}
+    succ, rows = view.succ, view.rows
+    semantic = [(view.index[y], lang) for y, lang in view.semantic.items()]
 
     if view.alg is Modality.EXPECT:
-        scale, denom = view.scale, view.denom
-        rows = {a: [(index[y], [(index[z], q) for z, q in view.int_trans[y][a]])
-                    for y in view.trans]
-                for a in view.alphabet}
-        size = len(index)
-
         def start() -> list:
-            t = [0] * size
-            for y, v in view.int_out.items():
-                t[index[y]] = v
-            return t
+            return list(view.int_out)
 
         def step(a, tail: list) -> list:
-            t = [0] * size
-            for i, row in rows[a]:
-                t[i] = sum([q * tail[j] for j, q in row])
-            return t
+            return [sum([q * tail[j] for j, q in row]) for row in rows[a]]
 
         def look_up(t: list, i: int, v, k: int) -> list:
             # D is a multiple of every table value's denominator
-            t[i] = v.numerator * (denom // v.denominator) * scale ** k
+            t[i] = v.numerator * (view.dens(k) // v.denominator)
             return t
     else:
-        start_mask = mask(y for y, v in view.out.items() if v)
-
         def start() -> int:
-            return start_mask
+            return view.out_mask
 
         if view.alg is Modality.JOIN_MEET:
-            rows = {a: [(1 << i, [mask(s) for s in row[a].payload]) for i, row in ordinary]
-                    for a in view.alphabet}
-
             def step(a, tail: int) -> int:
-                return sum(bit for bit, inner in rows[a]
+                return sum(1 << i for i, inner in enumerate(rows[a])
                            if any((m & tail) == m for m in inner))
         elif view.alg is Modality.MEET:
             def step(a, tail: int) -> int:
-                return sum(bit for bit, m in reach[a] if (m & tail) == m)
+                return sum(bit for bit, m in succ[a] if (m & tail) == m)
         else:
             def step(a, tail: int) -> int:
-                return sum(bit for bit, m in reach[a] if m & tail)
+                return sum(bit for bit, m in succ[a] if m & tail)
 
         def look_up(t: int, i: int, v, k: int) -> int:
             return t | (1 << i) if v else t
@@ -612,7 +620,8 @@ def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
             a, tail = w[0], w[1:]
             t = step(a, vectors[tail])
             bad = poison.get(tail, 0)
-            p = sum(bit for bit, m in reach[a] if m & bad) if bad else 0
+            # a state reads its successors' entries: poison spreads along `succ`
+            p = sum(bit for bit, m in succ[a] if m & bad) if bad else 0
         else:
             t, p = start(), 0
         for i, lang in semantic:
@@ -631,8 +640,7 @@ def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
     payload order down to the semantic state that cannot answer."""
     while y not in view.semantic:
         mv, w = view.trans[y][w[0]], w[1:]
-        y = next(z for z in _base_states(mv)
-                 if poison.get(w, 0) >> view.states.index(z) & 1)
+        y = next(z for z in _base_states(mv) if poison.get(w, 0) >> view.index[z] & 1)
     return KernelError(f"semantic state {y!r} (depth {view.semantic[y].depth}) "
                        f"cannot answer a residual word of length {len(w)}")
 
@@ -640,14 +648,14 @@ def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
 def _state_table(view: StepView, vectors: dict, poison: dict, x, words) -> dict:
     """State `x`'s values on `words`, read from `_suffix_pass` results; the
     first poisoned entry among them raises."""
-    i = view.states.index(x)
+    i = view.index[x]
     bit = 1 << i
     if poison:
         for w in words:
             if poison.get(w, 0) & bit:
                 raise _underflow(view, poison, x, w)
     if view.alg is Modality.EXPECT:
-        dens = [view.denom * view.scale ** k for k in range(max(map(len, words)) + 1)]
+        dens = list(map(view.dens, range(max(map(len, words)) + 1)))
         return {w: Fraction(vectors[w][i], dens[len(w)]) for w in words}
     return {w: (vectors[w] & bit) != 0 for w in words}
 
@@ -705,9 +713,10 @@ def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
 
 def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:
     """For every state, whether it can stop within n steps, for n = 0..depth:
-    it can stop outright, or some successor can within n - 1; one memo."""
-    if depth < 0:
-        raise KernelError("depth must be >= 0")
+    it can stop outright, or some successor can within n - 1; one memo.
+    Within the word budget of `enumerate_words` over one letter, checked
+    before the memo is built."""
+    count_words(1, depth)
     memo: dict = {}
 
     def ev(y, k: int) -> bool:

@@ -151,10 +151,6 @@ class FiniteFunc:
                 return v
         raise KeyError(key)
 
-    @property
-    def domain(self) -> tuple:
-        return tuple(k for k, _ in self.entries)
-
     def _canon_key_(self):
         return _cached_key(self, lambda: (7, canon_key(self.entries)))
 
@@ -237,12 +233,6 @@ class MonadValue:
     def elements(self) -> tuple:
         if self.kind is not MonadKind.POW:
             raise KernelError("elements is only defined on powerset values")
-        return self.payload
-
-    @property
-    def inner_sets(self) -> tuple:
-        if self.kind is not MonadKind.DOUBLE_POW:
-            raise KernelError("inner_sets is only defined on double-powerset values")
         return self.payload
 
     def weight(self, x) -> Fraction:

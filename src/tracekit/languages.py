@@ -31,8 +31,9 @@ class ShapeMismatchError(KernelError):
 Word = tuple  # a word is a tuple of letters
 
 
-def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) -> list[tuple]:
-    """All words of length <= depth, in length-then-alphabet order."""
+def count_words(letters: int, depth: int, guard: int = DEFAULT_GUARD) -> int:
+    """The number of words of length <= depth over `letters` letters,
+    counted without building them; `SizeGuardError` when it exceeds `guard`."""
     if depth < 0:
         raise KernelError("depth must be >= 0")
     count, level = 0, 1  # words up to some length, words of that length
@@ -40,9 +41,15 @@ def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) 
         count += level
         if count > guard:
             raise SizeGuardError(f"more than {guard} words up to length {depth}")
-        level *= len(alphabet)
+        level *= letters
         if not level:
             break
+    return count
+
+
+def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) -> list[tuple]:
+    """All words of length <= depth, in length-then-alphabet order."""
+    count_words(len(alphabet), depth, guard)
     words: list[tuple] = [()]
     level: list[tuple] = [()]
     for _ in range(depth):

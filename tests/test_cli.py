@@ -175,6 +175,11 @@ MALFORMED = [
     ("nda_exists", lambda d: DIRECTORY, "bad.json: cannot read the file"),
     ("nda_exists", lambda d: json.dumps(d).replace("q0", "qé").encode("latin-1"),
      "bad.json: not UTF-8 text"),
+    ("pa_chain", lambda d: d["transitions"]["u"]["a"].update(v="1e-3"),
+     "transitions['u']['a']['v']: bad rational '1e-3'"),
+    ("pa_chain", lambda d: d["outputs"].update(u="0.5"), "outputs['u']: bad rational '0.5'"),
+    ("pa_chain", lambda d: d["transitions"]["v"]["a"].update(v=" 1 "),
+     "transitions['v']['a']['v']: bad rational ' 1 '"),
 ]
 
 
@@ -209,7 +214,8 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "tree-row-number", "strange-row-number", "io-row-number",
                               "tree-symbol-list", "arity-answer-list", "alphabet-string",
                               "duplicate-key", "semantic-word-twice", "semantic-depth-huge",
-                              "missing-file", "directory", "not-utf8"])
+                              "missing-file", "directory", "not-utf8",
+                              "rational-exponent", "rational-decimal", "rational-padded"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -572,6 +578,14 @@ def test_main_writes_report(tmp_path, capsys):
     assert report["command"] == "semantics"
 
 
+def test_main_reports_an_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["semantics", f"{FIXTURES}/nda_exists.json", "--depth", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 def test_main_prints_dot(capsys):
     code = main(["determinise", f"{FIXTURES}/nda_exists.json"])
     assert code == 0
@@ -581,6 +595,15 @@ def test_main_prints_dot(capsys):
 def test_depth_beyond_the_size_guard_fails_fast(capsys):
     assert main(["semantics", f"{FIXTURES}/nda_exists.json", "--depth", "100000"]) == 2
     assert "more than 20000 words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["semantics", f"{FIXTURES}/strange_pair.json", "--depth", "20000"],
+    ["semantics", f"{FIXTURES}/generative_ab.json", "--engine", "kleisli", "--depth", "15"],
+], ids=["strange", "kleisli"])
+def test_engines_without_word_tables_guard_their_depth(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: more than 20000 words")
 
 
 def _readme_commands() -> list:

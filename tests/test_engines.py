@@ -264,6 +264,57 @@ def _coprime_moore() -> MooreCoalgebra:
                           {"u": F(1, 7), "v": F(1), "w": F(4, 13)}, trans)
 
 
+def _encoding_machines():
+    """Every Moore configuration, both generative kinds, and generalized
+    machines, some of them with semantic states."""
+    for seed in range(12):
+        for config in gen.CONFIGS:
+            yield gen.random_moore(seed, config)
+            yield gen.random_generalized(seed, config, 2)
+        yield gen.random_alternating(seed)
+        for kind in (MonadKind.POW, MonadKind.SUBDIST):
+            yield gen.random_generative(seed, kind)
+
+
+def test_step_view_encoding():
+    semantic_states = 0
+    for m in _encoding_machines():
+        view = step_view(m)
+        assert [view.index[y] for y in view.states] == list(range(len(view.states)))
+
+        def states_of(mask: int) -> set:
+            return {y for y in view.states if mask >> view.index[y] & 1}
+
+        for a in view.alphabet:
+            succ = dict(view.succ[a])
+            assert sorted(succ) == sorted(1 << view.index[y] for y in view.trans)
+            for y, row in view.trans.items():
+                mv, i = row[a], view.index[y]
+                if mv.kind is MonadKind.DOUBLE_POW:
+                    assert states_of(succ[1 << i]) == {z for s in mv.payload for z in s}
+                    assert [states_of(c) for c in view.rows[a][i]] == [set(s) for s in mv.payload]
+                else:
+                    assert states_of(succ[1 << i]) == set(mv.support)
+                if mv.kind is MonadKind.SUBDIST:
+                    assert [view.states.elements[j] for j, _ in view.rows[a][i]] == list(mv.support)
+                    for j, q in view.rows[a][i]:
+                        assert F(q, view.scale) == mv.weight(view.states.elements[j])
+            for y in view.semantic:
+                if view.rows:
+                    assert view.rows[a][view.index[y]] == ()
+        if view.kind is MonadKind.SUBDIST:
+            assert len(view.int_out) == len(view.states)
+            for y in view.states:
+                value = F(view.int_out[view.index[y]], view.denom)
+                assert value == (view.out[y] if y in view.out else 0)
+            assert [view.dens(k) for k in range(3)] == [view.denom * view.scale ** k
+                                                        for k in range(3)]
+        else:
+            assert states_of(view.out_mask) == {y for y, v in view.out.items() if v}
+        semantic_states += len(view.semantic)
+    assert semantic_states > 0
+
+
 def test_coprime_denominators_at_depth_8():
     m = _coprime_moore()
     view = step_view(m)
@@ -342,6 +393,15 @@ def test_em_language_size_guard_fires_before_the_walk():
     # 20,001 words on a one-letter alphabet; the guard is 20,000
     with pytest.raises(SizeGuardError):
         em_language(step_view(load("pa_chain")), 20_000)
+
+
+def test_strange_and_kleisli_size_guards_fire_before_the_memo():
+    # 20,001 words over one letter, and 2**16 - 1 over the two labels
+    with pytest.raises(SizeGuardError):
+        logic_eval_strange(load("strange_pair"), 20_000)
+    with pytest.raises(SizeGuardError):
+        kleisli_traces(load("generative_ab"), 15)
+    assert len(logic_eval_strange(load("strange_pair"), 19_999)["y"]) == 20_000
 
 
 # ---------------------------------------------------------------------------
