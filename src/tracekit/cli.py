@@ -540,10 +540,19 @@ def serialize_machine(machine) -> dict:
 # report building blocks
 
 
-def show_language(lang: TruncatedLanguage) -> list:
-    """The table as [word, value] pairs; a boolean is printed as it is, any
-    other value by `show_value`."""
-    return [[list(w), v if type(v) is bool else show_value(v)] for w, v in lang.items()]
+def _shown_words(langs) -> list:
+    """The words of tables that share one word list, each as a list: built
+    once per report and passed to `show_language` for every table."""
+    for lang in langs:
+        return [list(w) for w in lang.table]
+    return []
+
+
+def show_language(lang: TruncatedLanguage, words: list) -> list:
+    """The table as [word, value] pairs, the words from `_shown_words`; a
+    boolean is printed as it is, any other value by `show_value`."""
+    return [[w, v if type(v) is bool else show_value(v)]
+            for w, v in zip(words, lang.table.values())]
 
 
 def show_trace_set(ts) -> list:
@@ -646,7 +655,8 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
         view = step_view(machine)
         engine_language = em_language if engine == "em" else logic_language
         langs = engine_language(view, depth, states)
-        return {x: {"language": show_language(langs[x])} for x in states}
+        words = _shown_words(langs.values())
+        return {x: {"language": show_language(langs[x], words)} for x in states}
     if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
         traces = kleisli_traces(machine, depth)
         out = {}
@@ -687,8 +697,9 @@ def _cmd_compare(options) -> dict:
         } for v in rep.verdicts],
     }
     if rep.machine_kind != "strange":
+        words = _shown_words(rep.languages["logic"].values())
         out["languages"] = {
-            engine: [{"state": x, "language": show_language(rep.languages[engine][x])}
+            engine: [{"state": x, "language": show_language(rep.languages[engine][x], words)}
                      for x in sorted(rep.languages[engine], key=canon_key)]
             for engine in rep.engines if engine in rep.languages
         }
@@ -786,8 +797,7 @@ def _cmd_determinise(options) -> dict:
     machine = _load(options)
     if isinstance(machine, MooreCoalgebra):
         det = determinise_bt(machine)
-        dot = moore_dot(det)
-        return {"dot": dot, "n_subsets": len(det.subsets)}
+        return {"dot": moore_dot(det), "n_subsets": len(det.subsets)}
     if isinstance(machine, IOSystem):
         det = determinise_io(machine)
         return {"dot": io_dot(det), "n_subsets": len(det.subsets)}
@@ -808,35 +818,29 @@ _COMMANDS = {
 # DOT emission
 
 
-def _subset_name(u: frozenset) -> str:
-    return "{" + ",".join(str(x) for x in sorted(u, key=canon_key)) + "}"
+def _subset_dot(subsets: list, edges: dict, label=None) -> str:
+    """DOT text of a subset machine: a box per subset and an arrow per edge
+    `(subset, *move) -> subset`, in the given orders, labelled by the move
+    joined with "/".  Each subset is named once, by its states in canonical
+    order; `label(subset, name)`, when given, labels its box."""
+    names = {u: "{" + ",".join(str(x) for x in sorted(u, key=canon_key)) + "}" for u in subsets}
+    lines = ["digraph determinised {", "  rankdir=LR;"]
+    for u, name in names.items():
+        attrs = "shape=box" if label is None else f'shape=box, label="{label(u, name)}"'
+        lines.append(f'  "{name}" [{attrs}];')
+    for (u, *move), v in edges.items():
+        lines.append(f'  "{names[u]}" -> "{names[v]}" [label="{"/".join(map(str, move))}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def moore_dot(det: DeterminisedMoore) -> str:
-    lines = ["digraph determinised {", "  rankdir=LR;"]
-    for u in det.subsets:
-        label = f"{_subset_name(u)}|{show_value(det.out[u])}"
-        lines.append(f'  "{_subset_name(u)}" [shape=box, label="{label}"];')
-    for u in det.subsets:
-        for a in det.alphabet:
-            v = det.trans[(u, a)]
-            lines.append(f'  "{_subset_name(u)}" -> "{_subset_name(v)}" [label="{a}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    return _subset_dot(det.subsets, det.trans,
+                       lambda u, name: f"{name}|{show_value(det.out[u])}")
 
 
 def io_dot(det) -> str:
-    lines = ["digraph determinised {", "  rankdir=LR;"]
-    for u in det.subsets:
-        lines.append(f'  "{_subset_name(u)}" [shape=box];')
-    for u in det.subsets:
-        for k in sorted(det.init[u], key=canon_key):
-            for i in det.signature.answers(k):
-                v = det.succ[(u, k, i)]
-                lines.append(f'  "{_subset_name(u)}" -> "{_subset_name(v)}" '
-                             f'[label="{k}/{i}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    return _subset_dot(det.subsets, det.succ)
 
 
 # ---------------------------------------------------------------------------

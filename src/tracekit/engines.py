@@ -30,9 +30,12 @@ integer rows, output mask or vector, denominators); two engines run on it:
 
 Tree and strange machines have their own logical evaluators
 (`logic_eval_tree` per state and tree; `logic_eval_strange` for every state
-from one memo).  Whole-machine results are `{state: value}` maps.  The
-engines produce exactly equal truncated languages on the machine classes
-where the connecting laws hold; `compare_semantics` materialises that check.
+at once, bottom-up one step count at a time).  Whole-machine results are
+`{state: value}` maps.  The engines produce exactly equal truncated
+languages on the machine classes where the connecting laws hold;
+`compare_semantics` materialises that check.  `determinise_bt` builds the
+subset machine of a powerset Moore machine with `languages.explore_subsets`,
+the one subset exploration that `strategies.determinise_io` also runs.
 
 `L` and `D` are the step view's common denominators (see `StepView`): every
 transition weight is an integer over `L`, every output and semantic-table
@@ -75,6 +78,7 @@ from tracekit.languages import (
     TruncatedTraceSet,
     count_words,
     enumerate_words,
+    explore_subsets,
     language_equal,
 )
 from tracekit.laws import canonical_rho2
@@ -466,7 +470,7 @@ class DeterminisedMoore:
     alg: Modality
     subsets: list  # reachable frozensets, discovery order
     out: dict  # frozenset -> output
-    trans: dict  # (frozenset, letter) -> frozenset
+    trans: dict  # (frozenset, letter) -> frozenset, discovery order
 
     def eval_word(self, start: frozenset, word) -> object:
         u = start
@@ -480,24 +484,17 @@ class DeterminisedMoore:
 
 
 def determinise_bt(m: MooreCoalgebra) -> DeterminisedMoore:
-    """Subset construction from every singleton; outputs collapse by the modality."""
+    """Subset construction from every singleton; outputs collapse by the
+    modality.  `SizeGuardError` past `DEFAULT_GUARD` subsets."""
     if m.kind is not MonadKind.POW:
         raise KernelError("only powerset machines determinise to a finite subset machine")
-    agenda = [frozenset([x]) for x in m.states]
-    subsets: list = []
-    out: dict = {}
-    trans: dict = {}
-    while agenda:
-        u = agenda.pop(0)
-        if u in out:  # `out` is keyed by the subsets found so far
-            continue
-        subsets.append(u)
-        out[u] = algebra_eval(m.alg, pow_value(m.out[y] for y in u))
+
+    def successors(u: frozenset):
         for a in m.alphabet:
-            succ = frozenset(z for y in u for z in m.trans[y][a].elements)
-            trans[(u, a)] = succ
-            if succ not in out:
-                agenda.append(succ)
+            yield (u, a), frozenset(z for y in u for z in m.trans[y][a].elements)
+
+    subsets, trans = explore_subsets(m.states, successors)
+    out = {u: algebra_eval(m.alg, pow_value(m.out[y] for y in u)) for u in subsets}
     return DeterminisedMoore(m.alphabet, m.alg, subsets, out, trans)
 
 
@@ -713,21 +710,33 @@ def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
 
 def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:
     """For every state, whether it can stop within n steps, for n = 0..depth:
-    it can stop outright, or some successor can within n - 1; one memo.
-    Within the word budget of `enumerate_words` over one letter, checked
-    before the memo is built."""
+    it can stop outright, or some successor can within n - 1.
+
+    Computed bottom-up, one step count at a time for all states: the states
+    that can stop within n steps but not within n - 1 are those not found
+    yet with a successor found at step n - 1.  A state found at step k can
+    stop within n steps exactly for n >= k.  Within the word budget of
+    `enumerate_words` over one letter, checked before any table is built.
+    """
     count_words(1, depth)
-    memo: dict = {}
-
-    def ev(y, k: int) -> bool:
-        key = (y, k)
-        if key not in memo:
-            succ = sc.c[y].elements
-            memo[key] = STAR in succ or (
-                k > 0 and any(ev(z, k - 1) for z in succ if z != STAR))
-        return memo[key]
-
-    return {x: tuple(ev(x, n) for n in range(depth + 1)) for x in sc.states}
+    preds: dict = {x: [] for x in sc.states}
+    for x in sc.states:
+        for z in sc.c[x].elements:
+            if z != STAR:
+                preds[z].append(x)
+    layer = [x for x in sc.states if STAR in sc.c[x].elements]
+    found = dict.fromkeys(layer, 0)  # state -> the step count at which it can first stop
+    for n in range(1, depth + 1):
+        nxt = []
+        for x in layer:
+            for y in preds[x]:
+                if y not in found:
+                    found[y] = n
+                    nxt.append(y)
+        layer = nxt
+    never = depth + 1
+    return {x: (False,) * found.get(x, never) + (True,) * (never - found.get(x, never))
+            for x in sc.states}
 
 
 def strange_to_generative(sc: StrangeCoalgebra, label: str = "a") -> GenerativeCoalgebra:

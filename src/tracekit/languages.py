@@ -9,7 +9,7 @@ parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from tracekit.kernel import KernelError, MonadKind, MonadValue, Universe, canon_key
 
@@ -58,6 +58,31 @@ def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) 
             break
         words.extend(level)
     return words
+
+
+def explore_subsets(states: Universe, successors: Callable[[frozenset], Iterable[tuple]],
+                    guard: int = DEFAULT_GUARD) -> tuple[list, dict]:
+    """The subset construction's reachable part, breadth first from the
+    singletons of `states` in state order.
+
+    `successors(u)` yields (edge, subset) pairs for subset `u`, in the order
+    its successors are discovered; it is called once per subset, in
+    discovery order.  Returns the subsets in discovery order and
+    `{edge: subset}` in the same order.  `SizeGuardError` once more than
+    `guard` subsets are found.
+    """
+    subsets = [frozenset([x]) for x in states]
+    found = set(subsets)
+    edges: dict = {}
+    for u in subsets:  # the list grows as successors are discovered
+        if len(subsets) > guard:
+            raise SizeGuardError(f"more than {guard} subsets")
+        for edge, v in successors(u):
+            edges[edge] = v
+            if v not in found:
+                found.add(v)
+                subsets.append(v)
+    return subsets, edges
 
 
 # ---------------------------------------------------------------------------

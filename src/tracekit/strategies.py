@@ -5,14 +5,23 @@ systems move first: their plays end on an operation.  Reactive systems answer
 an operation from outside: their plays end on an answer and always include
 the empty play.  A strategy is a prefix-closed set of such plays, bounded
 here by the number of output moves.
+
+Both modes are read through one move table, built with the system: each
+state maps to `{operation: {answer: [targets]}}`.  `io_traces` and
+`check_strategy_coalgebra` have one body over it; the mode decides only
+where a play may end and which first moves are checked (the initial
+operations, or the answers to each operation).  `determinise_io` runs the
+one subset exploration, `languages.explore_subsets`, over the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 from tracekit.kernel import KernelError, Universe, canon_key
+from tracekit.languages import explore_subsets
 from tracekit.laws import Counterexample, LawReport
 
 
@@ -43,33 +52,36 @@ class IOSystem:
     # reactive:   state -> {operation: frozenset of (answer, target)}
 
     def __post_init__(self):
+        """Check the transitions and build the move table `moves`: state ->
+        {operation: {answer: [targets]}}.  A generative row lists the offered
+        operations in canonical order, each with every answer in signature
+        order; a reactive row lists every operation in signature order, each
+        with the answers it has targets for, in canonical order."""
         if self.mode not in ("generative", "reactive"):
             raise KernelError(f"unknown mode {self.mode!r}")
+        self.moves: dict = {}
         for x in self.states:
             row = self.trans.get(x)
             if row is None:
                 raise KernelError(f"missing transitions for state {x!r}")
+            moves = self.moves[x] = {}
             if self.mode == "generative":
-                for k, targets in row:
+                for k, targets in sorted(row, key=canon_key):
                     answers = self.signature.answers(k)
                     if len(targets) != len(answers):
                         raise KernelError(f"transition {k!r} from {x!r} must list "
                                           f"{len(answers)} continuations")
-                    for y in targets:
-                        self.states.require(y)
+                    by_answer = moves.setdefault(k, {})
+                    for i, y in zip(answers, targets):
+                        by_answer.setdefault(i, []).append(self.states.require(y))
             else:
                 for k in self.signature.operations:
                     if k not in row:
                         raise KernelError(f"missing answer set for ({x!r}, {k!r})")
-                    for i, y in row[k]:
+                    by_answer = moves[k] = {}
+                    for i, y in sorted(row[k], key=canon_key):
                         self.signature.answers(k).require(i)
-                        self.states.require(y)
-
-    def continuation(self, x, k, i):
-        """Targets reachable by answering i after x outputs k (generative)."""
-        answers = self.signature.answers(k)
-        pos = answers.index(i)
-        return [targets[pos] for op, targets in self.trans[x] if op == k]
+                        by_answer.setdefault(i, []).append(self.states.require(y))
 
 
 @dataclass(frozen=True)
@@ -95,36 +107,26 @@ class Strategy:
 def io_traces(sys: IOSystem, x, bound: int) -> Strategy:
     """All witnessed passive-ending plays from x with at most `bound` outputs."""
     sys.states.require(x)
+    reactive = sys.mode == "reactive"
     memo: dict = {}
 
-    def gen_plays(y, budget: int) -> frozenset:
+    def walk(y, budget: int) -> frozenset:
         key = (y, budget)
         if key not in memo:
-            plays = set()
+            plays = {()} if reactive else set()
             if budget >= 1:
-                for k, targets in sys.trans[y]:
-                    plays.add((k,))
-                    answers = sys.signature.answers(k)
-                    for pos, i in enumerate(answers):
-                        for s in gen_plays(targets[pos], budget - 1):
-                            plays.add((k, i) + s)
+                for k, by_answer in sys.moves[y].items():
+                    if not reactive:
+                        plays.add((k,))
+                    for i, targets in by_answer.items():
+                        ki = (k, i)
+                        for z in targets:
+                            for s in walk(z, budget - 1):
+                                plays.add(ki + s)
             memo[key] = frozenset(plays)
         return memo[key]
 
-    def re_plays(y, budget: int) -> frozenset:
-        key = (y, budget)
-        if key not in memo:
-            plays = {()}
-            if budget >= 1:
-                for k in sys.signature.operations:
-                    for i, z in sys.trans[y][k]:
-                        for s in re_plays(z, budget - 1):
-                            plays.add((k, i) + s)
-            memo[key] = frozenset(plays)
-        return memo[key]
-
-    plays = gen_plays(x, bound) if sys.mode == "generative" else re_plays(x, bound)
-    return Strategy(sys.mode, bound, plays)
+    return Strategy(sys.mode, bound, walk(x, bound))
 
 
 def strat_init(sigma: Strategy) -> frozenset:
@@ -144,54 +146,40 @@ def strat_residual(sigma: Strategy, k, i) -> Strategy:
 
 def check_strategy_coalgebra(sys: IOSystem, bound: int,
                              residual_bound: Optional[Callable[[int], int]] = None) -> LawReport:
-    """The trace map is a coalgebra morphism: initials match the outgoing
-    operations, and residuals match the traces of the continuations one
-    bound lower.
+    """The trace map is a coalgebra morphism: the first moves of the traces
+    match the move table (the initial operations of a generative state, the
+    answers to each operation of a reactive one), and residuals match the
+    traces of the continuations one bound lower.
 
     `residual_bound` overrides the continuation bound (mutation fixtures).
     """
     rb = residual_bound if residual_bound is not None else (lambda b: b - 1)
     checked = 0
     sizes = [len(sys.states)]
-
-    if sys.mode == "generative":
-        for x in sys.states:
-            sigma = io_traces(sys, x, bound)
-            checked += 1
-            expected_init = frozenset(k for k, _ in sys.trans[x]) if bound >= 1 else frozenset()
-            got_init = strat_init(sigma)
-            if got_init != expected_init:
+    for x in sys.states:
+        plays = io_traces(sys, x, bound).plays
+        checked += 1
+        moves = sys.moves[x] if bound >= 1 else {}
+        # (note, first moves of the plays, first moves of the table, rows to unfold)
+        if sys.mode == "generative":
+            firsts = [(("init", x), frozenset(p[0] for p in plays if len(p) == 1),
+                       frozenset(moves), moves)]
+        else:
+            firsts = [(("answers", x, k),
+                       frozenset(p[1] for p in plays if len(p) == 2 and p[0] == k),
+                       frozenset(moves.get(k, ())), {k: moves.get(k, {})})
+                      for k in sys.signature.operations]
+        for note, got, expected, rows in firsts:
+            if got != expected:
                 return LawReport("strategy_coalgebra", sizes, False,
-                                 Counterexample((x,), ("init", x), got_init, expected_init),
-                                 checked)
-            for k in sorted(got_init, key=canon_key):
-                for i in sys.signature.answers(k):
+                                 Counterexample((x,), note, got, expected), checked)
+            for k, by_answer in rows.items():
+                for i, targets in by_answer.items():
                     checked += 1
-                    lhs = strat_residual(sigma, k, i).plays
-                    rhs = frozenset().union(*[io_traces(sys, y, rb(bound)).plays
-                                              for y in sys.continuation(x, k, i)] or [frozenset()])
-                    if lhs != rhs:
-                        return LawReport("strategy_coalgebra", sizes, False,
-                                         Counterexample((x,), ("residual", x, k, i), lhs, rhs),
-                                         checked)
-    else:
-        for x in sys.states:
-            sigma = io_traces(sys, x, bound)
-            checked += 1
-            for k in sys.signature.operations:
-                answered = frozenset(i for i, _ in sys.trans[x][k]) if bound >= 1 else frozenset()
-                got = frozenset(p[1] for p in sigma.plays if len(p) == 2 and p[0] == k)
-                if got != answered:
-                    return LawReport("strategy_coalgebra", sizes, False,
-                                     Counterexample((x,), ("answers", x, k), got, answered),
-                                     checked)
-                for i in sorted(answered, key=canon_key):
-                    checked += 1
-                    lhs = frozenset(p[2:] for p in sigma.plays
+                    lhs = frozenset(p[2:] for p in plays
                                     if len(p) >= 2 and p[0] == k and p[1] == i)
                     rhs = frozenset().union(*[io_traces(sys, y, rb(bound)).plays
-                                              for ans, y in sys.trans[x][k] if ans == i]
-                                            or [frozenset()])
+                                              for y in targets])
                     if lhs != rhs:
                         return LawReport("strategy_coalgebra", sizes, False,
                                          Counterexample((x,), ("residual", x, k, i), lhs, rhs),
@@ -253,50 +241,38 @@ class DeterminisedIO:
     signature: IOSignature
     subsets: list  # reachable frozensets, discovery order
     init: dict  # frozenset -> frozenset of operations
-    succ: dict  # (frozenset, operation, answer) -> frozenset
+    succ: dict  # (frozenset, operation, answer) -> frozenset, discovery order
+
+    @cached_property
+    def system(self) -> IOSystem:
+        """The subsets as a generative system, built once per determinisation."""
+        trans = {u: frozenset((k, tuple(self.succ[(u, k, i)] for i in self.signature.answers(k)))
+                              for k in self.init[u])
+                 for u in self.subsets}
+        return IOSystem(Universe(self.subsets), self.signature, "generative", trans)
 
     def traces(self, start: frozenset, bound: int) -> Strategy:
-        memo: dict = {}
-
-        def walk(u: frozenset, budget: int) -> frozenset:
-            key = (u, budget)
-            if key not in memo:
-                plays = set()
-                if budget >= 1:
-                    for k in sorted(self.init[u], key=canon_key):
-                        plays.add((k,))
-                        for i in self.signature.answers(k):
-                            for s in walk(self.succ[(u, k, i)], budget - 1):
-                                plays.add((k, i) + s)
-                memo[key] = frozenset(plays)
-            return memo[key]
-
-        return Strategy("generative", bound, walk(start, bound))
+        """The plays of the subset system from `start`, by `io_traces`."""
+        return io_traces(self.system, start, bound)
 
 
 def determinise_io(sys: IOSystem) -> DeterminisedIO:
     """Subset construction: per answer, continuations of all members merge.
 
     The empty subset appears as an explicit deadlock state whenever it is
-    reachable.
+    reachable.  `SizeGuardError` past `DEFAULT_GUARD` subsets.
     """
     if sys.mode != "generative":
         raise KernelError("only generative systems determinise this way")
-    agenda = [frozenset([x]) for x in sys.states]
-    subsets: list = []
+
     init: dict = {}
-    succ: dict = {}
-    while agenda:
-        u = agenda.pop(0)
-        if u in init:  # `init` is keyed by the subsets found so far
-            continue
-        subsets.append(u)
-        ops = frozenset(k for x in u for k, _ in sys.trans[x])
-        init[u] = ops
-        for k in sorted(ops, key=canon_key):
+
+    def successors(u: frozenset):
+        init[u] = frozenset(k for x in u for k in sys.moves[x])
+        for k in sorted(init[u], key=canon_key):
             for i in sys.signature.answers(k):
-                target = frozenset(y for x in u for y in sys.continuation(x, k, i))
-                succ[(u, k, i)] = target
-                if target not in init:
-                    agenda.append(target)
+                yield (u, k, i), frozenset(y for x in u
+                                           for y in sys.moves[x].get(k, {}).get(i, ()))
+
+    subsets, succ = explore_subsets(sys.states, successors)
     return DeterminisedIO(sys.signature, subsets, init, succ)

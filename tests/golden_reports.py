@@ -2,10 +2,12 @@
 
 Each case is one `run_command` call: every fixture in `machines/` under
 every command that reads a machine file and every `--engine` value, at
-depths 0 and 3, plus `counterexample`.  Beyond the fixtures, `compare` runs
-at depth 5 on `tests/gen.py` machines (every Moore configuration and both
-generative kinds, seeds 0-9), written to files with `serialize_machine`;
-their reports name the file without its directory.  A case's digest is the
+depths 0 and 3, plus `counterexample`.  Beyond the fixtures, `tests/gen.py`
+machines (seeds 0-9) are written to files with `serialize_machine`, and
+their reports name the file without its directory: `compare` at depth 5 on
+every Moore configuration and both generative kinds, `strategies` at depth
+3 on io systems of both modes, and `determinise` on the generative io
+systems and the powerset Moore configurations.  A case's digest is the
 sha256 of the report as the CLI prints it, without `timing_s`; a rejected
 case digests its error class and message, so rejections are pinned too.  A
 change that must leave every report as it was is checked by
@@ -38,6 +40,7 @@ DEPTHS = (0, 3)
 LAW_SEED = 1
 GENERATED_SEEDS = range(10)
 GENERATED_DEPTH = 5
+STRATEGY_BOUND = 3
 
 
 def fixture_names() -> list[str]:
@@ -62,16 +65,27 @@ def cases(fixture: str) -> list[tuple[str, str, dict]]:
     return out
 
 
-def generated_machines() -> dict[str, object]:
-    """Case id -> generated machine, for the `compare` cases beyond the fixtures."""
+def generated_machines() -> dict[str, tuple]:
+    """Case id -> (generated machine, command, depth) for the cases beyond the
+    fixtures.  The `compare` cases come first, in their original order, since
+    a case's position names its machine file."""
     out = {}
     for seed in GENERATED_SEEDS:
         for config in gen.CONFIGS:
             out[f"gen moore {config} {seed} compare --depth {GENERATED_DEPTH}"] = \
-                gen.random_moore(seed, config)
+                (gen.random_moore(seed, config), "compare", GENERATED_DEPTH)
         for kind in (MonadKind.POW, MonadKind.SUBDIST):
             out[f"gen generative {kind.value} {seed} compare --depth {GENERATED_DEPTH}"] = \
-                gen.random_generative(seed, kind)
+                (gen.random_generative(seed, kind), "compare", GENERATED_DEPTH)
+    for seed in GENERATED_SEEDS:
+        for mode in ("generative", "reactive"):
+            out[f"gen io {mode} {seed} strategies --depth {STRATEGY_BOUND}"] = \
+                (gen.random_io_system(seed, mode), "strategies", STRATEGY_BOUND)
+        out[f"gen io generative {seed} determinise"] = \
+            (gen.random_io_system(seed, "generative"), "determinise", None)
+        for config in ("nda-exists", "nda-forall"):
+            out[f"gen moore {config} {seed} determinise"] = \
+                (gen.random_moore(seed, config), "determinise", None)
     return out
 
 
@@ -96,11 +110,10 @@ def digests(fixture: str) -> dict[str, str]:
 def generated_digests() -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (case, machine) in enumerate(generated_machines().items()):
+        for i, (case, (machine, command, depth)) in enumerate(generated_machines().items()):
             path = Path(tmp) / f"gen{i}.json"
             path.write_text(json.dumps(serialize_machine(machine), ensure_ascii=False))
-            out[case] = digest("compare", {"machine": str(path), "depth": GENERATED_DEPTH},
-                               path.name)
+            out[case] = digest(command, {"machine": str(path), "depth": depth}, path.name)
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests import gen
+from tests import gen, oracles
 from tests.fixtures import load
 from tracekit import engines
 from tracekit.cli import (
@@ -604,6 +604,58 @@ def test_depth_beyond_the_size_guard_fails_fast(capsys):
 def test_engines_without_word_tables_guard_their_depth(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: more than 20000 words")
+
+
+def _write_machine(path: Path, machine: dict) -> str:
+    path.write_text(json.dumps(machine))
+    return str(path)
+
+
+def test_strange_semantics_runs_down_a_long_chain(tmp_path, capsys):
+    # s0 -> s1 -> ... -> s1199 -> *: s_i can stop within n steps iff n >= 1199 - i
+    states = [f"s{i}" for i in range(1200)]
+    trans = {x: [y] for x, y in zip(states, states[1:])}
+    trans["s1199"] = ["*"]
+    path = _write_machine(tmp_path / "chain.json", {"format": 1, "kind": "strange",
+                                                    "states": states, "transitions": trans})
+    assert main(["semantics", path, "--depth", "900"]) == 0
+    rows = {r["state"]: r["by_steps"] for r in json.loads(capsys.readouterr().out)["results"]}
+    sc = parse_machine(path)
+    assert all(rows[x][900] == oracles.strange_reachable_stop(sc, x, 900) for x in states[::7])
+    for x in ("s0", "s298", "s299", "s300", "s1198", "s1199"):
+        assert [rows[x][n] for n in (0, 1, 898, 899)] == \
+            [oracles.strange_reachable_stop(sc, x, n) for n in (0, 1, 898, 899)]
+
+
+def test_strange_semantics_runs_up_a_two_wide_ladder(tmp_path, capsys):
+    # a_k and b_k both step to a_{k+1} and b_{k+1}; only a_39 and b_39 stop outright.
+    # Every state below the top has two predecessors, so each must enter the
+    # backward pass once, not once per path (2**k paths reach level 39 - k).
+    levels = [(f"a{k}", f"b{k}") for k in range(40)]
+    trans = {x: list(nxt) for lvl, nxt in zip(levels, levels[1:]) for x in lvl}
+    trans.update({x: ["*"] for x in levels[-1]})
+    states = [x for lvl in levels for x in lvl]
+    path = _write_machine(tmp_path / "ladder.json", {"format": 1, "kind": "strange",
+                                                     "states": states, "transitions": trans})
+    assert main(["semantics", path, "--depth", "40"]) == 0
+    rows = {r["state"]: r["by_steps"] for r in json.loads(capsys.readouterr().out)["results"]}
+    sc = parse_machine(path)
+    assert all(rows[x] == [oracles.strange_reachable_stop(sc, x, n) for n in range(41)]
+               for x in states)
+
+
+def test_determinise_beyond_the_size_guard_fails(tmp_path, capsys):
+    # "the 15th letter from the end is a": 2**15 subsets contain q0, beyond the 20,000 guard
+    states = [f"q{i}" for i in range(16)]
+    trans = {x: {"a": [y], "b": [y]} for x, y in zip(states[1:], states[2:])}
+    trans["q0"] = {"a": ["q0", "q1"], "b": ["q0"]}
+    trans["q15"] = {"a": [], "b": []}
+    machine = {"format": 1, "kind": "moore", "monad": "pow", "modality": "join",
+               "states": states, "alphabet": ["a", "b"],
+               "outputs": {x: x == "q15" for x in states}, "transitions": trans}
+    path = _write_machine(tmp_path / "suffix15.json", machine)
+    assert main(["determinise", path]) == 2
+    assert capsys.readouterr().err.startswith("error: more than 20000 subsets")
 
 
 def _readme_commands() -> list:

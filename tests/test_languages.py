@@ -10,6 +10,7 @@ from tracekit.languages import (
     TruncatedTraceSet,
     enumerate_trees,
     enumerate_words,
+    explore_subsets,
     language_equal,
 )
 
@@ -42,6 +43,27 @@ def test_enumerate_words_guard_stops_counting_at_the_guard():
     with pytest.raises(SizeGuardError, match="more than 20000 words"):
         enumerate_words(Universe(["a", "b"]), 10**9)
     assert enumerate_words(Universe([]), 10**9) == [()]
+
+
+def _shift_successors(u: frozenset):
+    """Subsets of 0..3: letter "a" adds 1 to every member, "b" also keeps 0."""
+    yield (u, "a"), frozenset(x + 1 for x in u if x < 3)
+    yield (u, "b"), frozenset(x + 1 for x in u if x < 3) | {0}
+
+
+def test_explore_subsets_order_singletons_then_successors():
+    subsets, edges = explore_subsets(Universe([2, 0]), _shift_successors)
+    assert subsets[:4] == [frozenset({2}), frozenset({0}), frozenset({3}),
+                           frozenset({0, 3})]
+    assert list(edges)[:2] == [(frozenset({2}), "a"), (frozenset({2}), "b")]
+    assert [u for u, _ in edges][::2] == subsets
+    assert set(edges.values()) <= set(subsets)
+
+
+def test_explore_subsets_guard():
+    assert len(explore_subsets(Universe([0]), _shift_successors)[0]) == 16
+    with pytest.raises(SizeGuardError):
+        explore_subsets(Universe([0]), _shift_successors, guard=15)
 
 
 def test_enumerate_trees_stops_at_a_fixpoint():

@@ -5,6 +5,7 @@ import pytest
 from tests import gen, oracles
 from tests.fixtures import load
 from tracekit.kernel import KernelError, Universe
+from tracekit.languages import SizeGuardError
 from tracekit.strategies import (
     IOSignature,
     IOSystem,
@@ -170,3 +171,28 @@ def test_random_generative_determinise_preserves_traces():
         for x in sys.states:
             for b in range(4):
                 assert det.traces(frozenset([x]), b).plays == io_traces(sys, x, b).plays
+
+
+def test_determinised_subset_system_is_built_once():
+    det = determinise_io(load("io_self_loop"))
+    subset_system = det.system
+    det.traces(frozenset(["s"]), 2)
+    assert det.system is subset_system
+    assert list(subset_system.states) == det.subsets
+
+
+def test_determinise_io_beyond_the_size_guard_fails():
+    # answer "a" from q0 also starts a 15-step countdown: 2**15 subsets contain q0
+    sig = IOSignature(Universe(["k"]), {"k": Universe(["a", "b"])})
+    states = [f"q{i}" for i in range(16)]
+    trans = {x: frozenset({("k", (y, y))}) for x, y in zip(states[1:], states[2:])}
+    trans["q0"] = frozenset({("k", ("q0", "q0")), ("k", ("q1", "q0"))})
+    trans["q15"] = frozenset()
+    with pytest.raises(SizeGuardError):
+        determinise_io(IOSystem(Universe(states), sig, "generative", trans))
+
+
+def test_move_table_is_the_same_shape_in_both_modes():
+    gen_sys = load("io_self_loop")
+    assert gen_sys.moves == {"s": {"k": {"0": ["s"], "1": ["s"]}}}
+    assert load("io_reactive").moves == {"s0": {"k": {"0": ["s1"]}}, "s1": {"k": {}}}
