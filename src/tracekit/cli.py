@@ -52,7 +52,7 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import TruncatedLanguage, TruncatedTreeLanguage, enumerate_trees
+from tracekit.languages import TruncatedLanguage, enumerate_trees
 from tracekit.laws import (
     LawReport,
     check_em_law,
@@ -666,13 +666,11 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
                 out[x]["retained_mass"] = show_value(traces[x].retained_mass())
         return out
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
-        out = {}
-        for x in states:
-            lang = TruncatedTreeLanguage.tabulate(machine.signature, max(depth, 1),
-                                                  lambda t: logic_eval_tree(machine, x, t))
-            out[x] = {"tree_language": [[repr(t), lang.table[t]]
-                                        for t in enumerate_trees(machine.signature, lang.depth)]}
-        return out
+        trees = enumerate_trees(machine.signature, max(depth, 1))
+        shown = [repr(t) for t in trees]
+        return {x: {"tree_language": [[name, logic_eval_tree(machine, x, t)]
+                                      for name, t in zip(shown, trees)]}
+                for x in states}
     if isinstance(machine, StrangeCoalgebra) and engine == "logic":
         tables = logic_eval_strange(machine, depth)
         return {x: {"by_steps": list(tables[x])} for x in states}
@@ -764,9 +762,10 @@ def _cmd_strategies(options) -> dict:
     if not isinstance(machine, IOSystem):
         raise MachineFormatError("the strategies command needs an io machine")
     bound = _require_depth(options)
-    results = [{"state": x, "plays": show_strategy(io_traces(machine, x, bound))}
-               for x in _states_in_scope(machine, options)]
-    coherence = check_strategy_coalgebra(machine, bound)
+    states = _states_in_scope(machine, options)
+    traces = io_traces(machine, bound)
+    results = [{"state": x, "plays": show_strategy(traces[x])} for x in states]
+    coherence = check_strategy_coalgebra(machine, traces)
     return {"bound": bound, "mode": machine.mode, "results": results,
             "coherence": show_law_report(coherence)}
 

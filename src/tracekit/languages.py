@@ -1,8 +1,10 @@
 """Word and tree universes, and depth-truncated languages.
 
-A truncated language is a total table from all words (trees) up to a fixed
-depth to output values; it is the finite stand-in for the infinite language
-spaces the engines converge to.  The truncation depth is always an explicit
+A truncated language is a total table from all words up to a fixed depth to
+output values; it is the finite stand-in for the infinite language spaces
+the engines converge to.  Trees up to a height are enumerated here too, once
+per report: the tree engine evaluates each state on that one list, with no
+table class of its own.  The truncation depth is always an explicit
 parameter.
 """
 
@@ -186,24 +188,6 @@ def language_equal(l1: TruncatedLanguage, l2: TruncatedLanguage):
         if v != other[w]:
             return False, w
     return True, None
-
-
-@dataclass
-class TruncatedTreeLanguage:
-    """Total map from trees of height <= depth to output values."""
-
-    signature: dict
-    depth: int
-    table: dict
-
-    def __post_init__(self):
-        expected = enumerate_trees(self.signature, self.depth)
-        if set(self.table) != set(expected):
-            raise ShapeMismatchError(f"table must be total on trees of height <= {self.depth}")
-
-    @classmethod
-    def tabulate(cls, signature: Mapping[str, int], depth: int, fn: Callable[[Tree], object]):
-        return cls(dict(signature), depth, {t: fn(t) for t in enumerate_trees(signature, depth)})
 
 
 @dataclass

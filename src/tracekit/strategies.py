@@ -7,21 +7,26 @@ the empty play.  A strategy is a prefix-closed set of such plays, bounded
 here by the number of output moves.
 
 Both modes are read through one move table, built with the system: each
-state maps to `{operation: {answer: [targets]}}`.  `io_traces` and
-`check_strategy_coalgebra` have one body over it; the mode decides only
-where a play may end and which first moves are checked (the initial
-operations, or the answers to each operation).  `determinise_io` runs the
-one subset exploration, `languages.explore_subsets`, over the same table.
+state maps to `{operation: {answer: [targets]}}`.  The trace semantics is
+one map: `io_traces` returns every state's strategy from one table over
+(state, budget), within the shared size budget.  `check_strategy_coalgebra`
+takes that map and tests its defining equation, the coalgebra-morphism
+square: `strat_init` gives a strategy's first moves (the initial operations,
+or the answers to each operation) and `strat_residual` what follows one
+round, which must be the targets' strategies cut (`strat_cut`) to one output
+fewer.  The mode decides only where a play may end and which first moves
+are compared.  `determinise_io` runs the one subset exploration,
+`languages.explore_subsets`, over the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Mapping
 
 from tracekit.kernel import KernelError, Universe, canon_key
-from tracekit.languages import explore_subsets
+from tracekit.languages import DEFAULT_GUARD, SizeGuardError, explore_subsets
 from tracekit.laws import Counterexample, LawReport
 
 
@@ -104,69 +109,86 @@ class Strategy:
             for p in self.plays)
 
 
-def io_traces(sys: IOSystem, x, bound: int) -> Strategy:
-    """All witnessed passive-ending plays from x with at most `bound` outputs."""
-    sys.states.require(x)
+def io_traces(sys: IOSystem, bound: int) -> dict:
+    """Every state's strategy: all witnessed passive-ending plays with at
+    most `bound` outputs, as `{state: Strategy}`.
+
+    One table over (state, budget), filled one budget at a time for every
+    state from the budget below, so no play set is built twice and nothing
+    recurses; it stops early once a budget adds no play.  `SizeGuardError`
+    once more than `DEFAULT_GUARD` plays have been built over all (state,
+    budget) entries, counted as each set grows: a long cycle, whose plays
+    grow one per budget but get longer each time, is stopped too.
+    """
     reactive = sys.mode == "reactive"
-    memo: dict = {}
+    empty = frozenset({()}) if reactive else frozenset()
+    layer = dict.fromkeys(sys.states, empty)  # budget 0
+    built = len(layer) if reactive else 0
+    for _ in range(bound):
+        below, layer = layer, {}
+        for y in sys.states:
+            plays = set(empty)
+            for k, by_answer in sys.moves[y].items():
+                if not reactive:
+                    plays.add((k,))
+                for i, targets in by_answer.items():
+                    ki = (k, i)
+                    for z in targets:
+                        plays.update(ki + s for s in below[z])
+                        if built + len(plays) > DEFAULT_GUARD:
+                            raise SizeGuardError(f"more than {DEFAULT_GUARD} plays "
+                                                 f"up to {bound} outputs")
+            built += len(plays)
+            layer[y] = frozenset(plays)
+        if layer == below:  # a fixpoint: higher budgets add nothing either
+            break
+    return {x: Strategy(sys.mode, bound, layer[x]) for x in sys.states}
 
-    def walk(y, budget: int) -> frozenset:
-        key = (y, budget)
-        if key not in memo:
-            plays = {()} if reactive else set()
-            if budget >= 1:
-                for k, by_answer in sys.moves[y].items():
-                    if not reactive:
-                        plays.add((k,))
-                    for i, targets in by_answer.items():
-                        ki = (k, i)
-                        for z in targets:
-                            for s in walk(z, budget - 1):
-                                plays.add(ki + s)
-            memo[key] = frozenset(plays)
-        return memo[key]
 
-    return Strategy(sys.mode, bound, walk(x, bound))
-
-
-def strat_init(sigma: Strategy) -> frozenset:
-    """Operations the strategy can open with."""
-    if sigma.mode != "generative":
-        raise KernelError("initial operations are defined for generative strategies")
-    return frozenset(p[0] for p in sigma.plays if len(p) == 1)
+def strat_init(sigma: Strategy, k=None) -> frozenset:
+    """The strategy's first moves: the operations a generative strategy can
+    open with, or the answers a reactive strategy accepts to operation `k`."""
+    if sigma.mode == "generative":
+        return frozenset(p[0] for p in sigma.plays if len(p) == 1)
+    return frozenset(p[1] for p in sigma.plays if len(p) == 2 and p[0] == k)
 
 
 def strat_residual(sigma: Strategy, k, i) -> Strategy:
-    """What remains of the strategy after it outputs k and hears i."""
-    if k not in strat_init(sigma):
-        raise KernelError(f"operation {k!r} is not initial in this strategy")
+    """What remains of the strategy after it outputs k and hears i; the
+    first move (k, or i in reply to k) must be one of `strat_init`'s."""
+    if ((k,) if sigma.mode == "generative" else (k, i)) not in sigma.plays:
+        raise KernelError(f"({k!r}, {i!r}) does not open a round of this strategy")
     rest = frozenset(p[2:] for p in sigma.plays if len(p) >= 2 and p[0] == k and p[1] == i)
     return Strategy(sigma.mode, sigma.bound - 1, rest)
 
 
-def check_strategy_coalgebra(sys: IOSystem, bound: int,
-                             residual_bound: Optional[Callable[[int], int]] = None) -> LawReport:
-    """The trace map is a coalgebra morphism: the first moves of the traces
-    match the move table (the initial operations of a generative state, the
-    answers to each operation of a reactive one), and residuals match the
-    traces of the continuations one bound lower.
+def strat_cut(sigma: Strategy, bound: int) -> Strategy:
+    """The plays with at most `bound` outputs.  A play with n outputs has
+    length 2n - 1 (generative) or 2n (reactive), so it has
+    (length + 1) // 2 of them in either mode."""
+    return Strategy(sigma.mode, bound,
+                    frozenset(p for p in sigma.plays if (len(p) + 1) // 2 <= bound))
 
-    `residual_bound` overrides the continuation bound (mutation fixtures).
+
+def check_strategy_coalgebra(sys: IOSystem, traces: Mapping) -> LawReport:
+    """The trace map `traces` (state -> Strategy, as `io_traces` returns it)
+    is a coalgebra morphism: each strategy's first moves match the move
+    table (the initial operations of a generative state, the answers to each
+    operation of a reactive one), and each residual is the union of the
+    targets' strategies cut to one output fewer.
     """
-    rb = residual_bound if residual_bound is not None else (lambda b: b - 1)
     checked = 0
     sizes = [len(sys.states)]
+    lower = {y: strat_cut(sigma, sigma.bound - 1).plays for y, sigma in traces.items()}
     for x in sys.states:
-        plays = io_traces(sys, x, bound).plays
+        sigma = traces[x]
         checked += 1
-        moves = sys.moves[x] if bound >= 1 else {}
-        # (note, first moves of the plays, first moves of the table, rows to unfold)
+        moves = sys.moves[x] if sigma.bound >= 1 else {}
+        # (note, first moves of the strategy, first moves of the table, rows to unfold)
         if sys.mode == "generative":
-            firsts = [(("init", x), frozenset(p[0] for p in plays if len(p) == 1),
-                       frozenset(moves), moves)]
+            firsts = [(("init", x), strat_init(sigma), frozenset(moves), moves)]
         else:
-            firsts = [(("answers", x, k),
-                       frozenset(p[1] for p in plays if len(p) == 2 and p[0] == k),
+            firsts = [(("answers", x, k), strat_init(sigma, k),
                        frozenset(moves.get(k, ())), {k: moves.get(k, {})})
                       for k in sys.signature.operations]
         for note, got, expected, rows in firsts:
@@ -176,58 +198,13 @@ def check_strategy_coalgebra(sys: IOSystem, bound: int,
             for k, by_answer in rows.items():
                 for i, targets in by_answer.items():
                     checked += 1
-                    lhs = frozenset(p[2:] for p in plays
-                                    if len(p) >= 2 and p[0] == k and p[1] == i)
-                    rhs = frozenset().union(*[io_traces(sys, y, rb(bound)).plays
-                                              for y in targets])
+                    lhs = strat_residual(sigma, k, i).plays
+                    rhs = frozenset().union(*[lower[y] for y in targets])
                     if lhs != rhs:
                         return LawReport("strategy_coalgebra", sizes, False,
                                          Counterexample((x,), ("residual", x, k, i), lhs, rhs),
                                          checked)
     return LawReport("strategy_coalgebra", sizes, True, None, checked)
-
-
-# ---------------------------------------------------------------------------
-# the one-step collapse and its packed/unpacked forms
-
-
-def sigma_sharp(values: Mapping, joins: Mapping, r: Iterable) -> tuple:
-    """Collapse a set of tagged elements to (live tags, per-tag supremum).
-
-    `values[j]` maps elements of the j-th component to a join-semilattice,
-    `joins[j]` is that carrier's binary join, and `r` is a set of (j, x)
-    pairs.  Each live tag gets the supremum of the values of its members.
-    """
-    pairs = sorted(set(r), key=canon_key)
-    live = []
-    sups: dict = {}
-    for j, x in pairs:
-        v = values[j][x]
-        if j not in sups:
-            live.append(j)
-            sups[j] = v
-        else:
-            sups[j] = joins[j](sups[j], v)
-    return frozenset(live), sups
-
-
-def pack_tagged(live: Iterable, families: Mapping) -> frozenset:
-    """(tags, per-tag nonempty sets) -> one set of (tag, element) pairs."""
-    out = set()
-    for j in live:
-        members = families[j]
-        if not members:
-            raise KernelError(f"tag {j!r} carries an empty component")
-        out.update((j, x) for x in members)
-    return frozenset(out)
-
-
-def unpack_tagged(r: Iterable) -> tuple:
-    """One set of (tag, element) pairs -> (tags, per-tag nonempty sets)."""
-    live: dict = {}
-    for j, x in r:
-        live.setdefault(j, set()).add(x)
-    return frozenset(live), {j: frozenset(s) for j, s in live.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +227,6 @@ class DeterminisedIO:
                               for k in self.init[u])
                  for u in self.subsets}
         return IOSystem(Universe(self.subsets), self.signature, "generative", trans)
-
-    def traces(self, start: frozenset, bound: int) -> Strategy:
-        """The plays of the subset system from `start`, by `io_traces`."""
-        return io_traces(self.system, start, bound)
 
 
 def determinise_io(sys: IOSystem) -> DeterminisedIO:

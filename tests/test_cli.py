@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tests import gen, oracles
 from tests.fixtures import load
-from tracekit import engines
+from tracekit import cli, engines, strategies
 from tracekit.cli import (
     MachineFormatError,
     main,
@@ -540,6 +540,21 @@ def test_strategies_command():
     assert rep["results"][0]["plays"] == [["k"], ["k", "0", "k"], ["k", "1", "k"]]
 
 
+def test_strategies_command_builds_the_trace_map_once(monkeypatch):
+    calls, io_traces = [], strategies.io_traces
+
+    def counted(machine, bound):
+        calls.append(bound)
+        return io_traces(machine, bound)
+
+    monkeypatch.setattr(cli, "io_traces", counted)
+    monkeypatch.setattr(strategies, "io_traces", counted)
+    for machine in ("io_self_loop", "io_reactive"):
+        calls.clear()
+        rep = run_command("strategies", machine=f"{FIXTURES}/{machine}.json", depth=3)
+        assert rep["coherence"]["holds"] is True and calls == [3]
+
+
 def test_determinise_command_dot():
     rep = run_command("determinise", machine=f"{FIXTURES}/nda_exists.json")
     dot = rep["dot"]
@@ -656,6 +671,20 @@ def test_determinise_beyond_the_size_guard_fails(tmp_path, capsys):
     path = _write_machine(tmp_path / "suffix15.json", machine)
     assert main(["determinise", path]) == 2
     assert capsys.readouterr().err.startswith("error: more than 20000 subsets")
+
+
+def test_strategies_beyond_the_play_budget_fails(tmp_path, capsys):
+    # one state, 2 operations x 2 answers looping back: 21,845 plays up to 7 outputs
+    loop = [["0", "x"], ["1", "x"]]
+    machine = {"format": 1, "kind": "io", "mode": "reactive", "states": ["x"],
+               "operations": ["k", "l"], "arities": {"k": ["0", "1"], "l": ["0", "1"]},
+               "transitions": {"x": {"k": loop, "l": loop}}}
+    path = _write_machine(tmp_path / "loop.json", machine)
+    assert main(["strategies", path, "--depth", "6"]) == 0
+    capsys.readouterr()
+    assert main(["strategies", path, "--depth", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: more than 20000 plays up to 7 outputs"]
 
 
 def _readme_commands() -> list:

@@ -140,12 +140,3 @@ def test_trace_set_rejects_overlong_traces():
     from tracekit.kernel import MonadKind, pow_value
     with pytest.raises(KernelError):
         TruncatedTraceSet(MonadKind.POW, 1, pow_value([(("a", "a"), "✓")]))
-
-
-def test_tree_language_tabulate_total():
-    from tracekit.languages import TruncatedTreeLanguage
-    sig = {"c": 0, "f": 2}
-    lang = TruncatedTreeLanguage.tabulate(sig, 2, lambda t: t.symbol == "c")
-    assert lang.table == {Tree("c"): True, Tree("f", (Tree("c"), Tree("c"))): False}
-    with pytest.raises(KernelError):
-        TruncatedTreeLanguage(sig, 2, {Tree("c"): True})
