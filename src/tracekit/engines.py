@@ -25,8 +25,12 @@ integer rows, output mask or vector, denominators); two engines run on it:
   `D * L**len(w)` on an expectation view.  `logic_language` runs it over
   every word up to the depth, `logic_eval` over the suffixes of its word;
 * fixpoint engine (`kleisli_traces`, collapsed by `kbar`): Kleene-iterate the
-  complete-trace equations of a generative machine from bottom; one chain
-  gives the trace sets of every state.
+  complete-trace equations of a generative machine from bottom, semi-naively:
+  iterate n + 1 adds only the traces of length n, and one pass,
+  `_trace_deltas`, builds each of them once from the traces the previous
+  iterate added.  `kleisli_traces` unions every delta and builds one value
+  per state; `kleisli_iterates` returns the cumulative unions, the chain
+  itself.
 
 Tree and strange machines have their own logical evaluators
 (`logic_eval_tree` per state and tree; `logic_eval_strange` for every state
@@ -502,39 +506,79 @@ def determinise_bt(m: MooreCoalgebra) -> DeterminisedMoore:
 # fixpoint (complete-trace) engine
 
 
-def _prepend_traces(kind: MonadKind, label, traces: MonadValue, depth: int) -> MonadValue:
-    """Prefix every trace with `label`, discarding traces that would exceed depth."""
-    if kind is MonadKind.POW:
-        return pow_value(((label,) + w, s) for w, s in traces.payload if len(w) < depth)
-    return sub_dist((((label,) + w, s), m) for (w, s), m in traces.payload if len(w) < depth)
+def _trace_deltas(gc: GenerativeCoalgebra, depth: int):
+    """The traces each Kleene iterate adds, for every state: delta n is
+    `{state: {(word, terminal): weight}}` over the traces of length n, the
+    weight `True` on a powerset machine and the exact `Fraction` mass on a
+    subdistribution one.  Delta 0 is each state's terminals; delta n is
+    every move `(label, target)` prefixed to the target's delta n - 1, equal
+    traces summed.  Yields delta 0 to delta `depth`, stopping early once a
+    delta is empty for every state (all later ones are too).
+    """
+    pow_ = gc.kind is MonadKind.POW
+    moves: dict = {}
+    delta: dict = {}
+    for x in gc.states:
+        entries = [(u, True) for u in gc.c[x].payload] if pow_ else gc.c[x].payload
+        moves[x] = [(u.label, u.target, w) for u, w in entries if isinstance(u, Move)]
+        delta[x] = {((), u.terminal): w for u, w in entries if isinstance(u, Done)}
+    for length in range(depth + 1):
+        if length:
+            below, delta = delta, {}
+            for x in gc.states:
+                added = delta[x] = {}
+                for label, y, w in moves[x]:
+                    for (word, s), v in below[y].items():
+                        trace = ((label,) + word, s)
+                        if pow_:
+                            added[trace] = True
+                        else:
+                            old = added.get(trace)
+                            added[trace] = w * v if old is None else old + w * v
+        if not any(delta.values()):
+            return
+        yield delta
+
+
+def _trace_value(kind: MonadKind, traces: dict) -> MonadValue:
+    return pow_value(traces) if kind is MonadKind.POW else sub_dist(traces)
 
 
 def kleisli_iterates(gc: GenerativeCoalgebra, depth: int, n_iters: int) -> list[dict]:
     """Kleene chain of per-state trace approximations, from the bottom element.
 
-    Traces longer than `depth` are dropped as they arise, so every iterate
-    stays bounded.
+    Iterate k is the union of deltas 0 to k - 1 of `_trace_deltas`: the
+    traces of length < k, none longer than `depth`, so the chain is
+    stationary from iterate depth + 1 on.  One value per state and iterate.
     """
-    bottom = pow_value([]) if gc.kind is MonadKind.POW else sub_dist([])
-    current = {x: bottom for x in gc.states}
-    chain = [dict(current)]
+    union = {x: {} for x in gc.states}
+    current = {x: _trace_value(gc.kind, {}) for x in gc.states}
+    chain = [current]
+    deltas = _trace_deltas(gc, depth)
     for _ in range(n_iters):
-        def step(u, prev=current):
-            if isinstance(u, Done):
-                return monad_unit(gc.kind, ((), u.terminal))
-            return _prepend_traces(gc.kind, u.label, prev[u.target], depth)
-        current = {x: monad_bind(gc.kind, gc.c[x], step) for x in gc.states}
-        chain.append(dict(current))
+        delta = next(deltas, None)
+        if delta is not None:
+            for x in gc.states:
+                union[x].update(delta[x])
+            current = {x: _trace_value(gc.kind, union[x]) for x in gc.states}
+        chain.append(current)
     return chain
 
 
 def kleisli_traces(gc: GenerativeCoalgebra, depth: int) -> dict:
     """Exact set/subdistribution of complete traces of length <= depth, for
-    every state, read off one Kleene chain.  Within the word budget of
-    `enumerate_words` over the labels, checked before any iterate is built."""
+    every state: the least fixpoint of the trace equations, as the union of
+    every delta of one `_trace_deltas` pass, with one value built per state
+    at the end (the chain is monotone, so the final mass bounds every
+    iterate's).  Within the word budget of `enumerate_words` over the
+    labels, checked before any trace is built."""
     count_words(len(gc.labels), depth)
-    last = kleisli_iterates(gc, depth, depth + 1)[-1]
-    return {x: TruncatedTraceSet(gc.kind, depth, last[x]) for x in gc.states}
+    union = {x: {} for x in gc.states}
+    for delta in _trace_deltas(gc, depth):
+        for x in gc.states:
+            union[x].update(delta[x])
+    return {x: TruncatedTraceSet(gc.kind, depth, _trace_value(gc.kind, union[x]))
+            for x in gc.states}
 
 
 def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,

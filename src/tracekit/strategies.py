@@ -14,9 +14,10 @@ takes that map and tests its defining equation, the coalgebra-morphism
 square: `strat_init` gives a strategy's first moves (the initial operations,
 or the answers to each operation) and `strat_residual` what follows one
 round, which must be the targets' strategies cut (`strat_cut`) to one output
-fewer.  The mode decides only where a play may end and which first moves
-are compared.  `determinise_io` runs the one subset exploration,
-`languages.explore_subsets`, over the same table.
+fewer; the check reads every residual of a strategy from one grouping of its
+plays by their first round.  The mode decides only where a play may end and
+which first moves are compared.  `determinise_io` runs the one subset
+exploration, `languages.explore_subsets`, over the same table.
 """
 
 from __future__ import annotations
@@ -162,6 +163,16 @@ def strat_residual(sigma: Strategy, k, i) -> Strategy:
     return Strategy(sigma.mode, sigma.bound - 1, rest)
 
 
+def _residuals(sigma: Strategy) -> dict:
+    """Every `strat_residual` of the strategy at once, in one pass over its
+    plays: `{(k, i): plays}` for each round (k, i) that some play opens."""
+    rests: dict = {}
+    for p in sigma.plays:
+        if len(p) >= 2:
+            rests.setdefault(p[:2], []).append(p[2:])
+    return {ki: frozenset(r) for ki, r in rests.items()}
+
+
 def strat_cut(sigma: Strategy, bound: int) -> Strategy:
     """The plays with at most `bound` outputs.  A play with n outputs has
     length 2n - 1 (generative) or 2n (reactive), so it has
@@ -175,13 +186,16 @@ def check_strategy_coalgebra(sys: IOSystem, traces: Mapping) -> LawReport:
     is a coalgebra morphism: each strategy's first moves match the move
     table (the initial operations of a generative state, the answers to each
     operation of a reactive one), and each residual is the union of the
-    targets' strategies cut to one output fewer.
+    targets' strategies cut to one output fewer.  One pass over a state's
+    plays gives all its residuals; the first-move check before them makes
+    every round asked for one that `strat_residual` accepts.
     """
     checked = 0
     sizes = [len(sys.states)]
     lower = {y: strat_cut(sigma, sigma.bound - 1).plays for y, sigma in traces.items()}
     for x in sys.states:
         sigma = traces[x]
+        residuals = _residuals(sigma)
         checked += 1
         moves = sys.moves[x] if sigma.bound >= 1 else {}
         # (note, first moves of the strategy, first moves of the table, rows to unfold)
@@ -198,7 +212,7 @@ def check_strategy_coalgebra(sys: IOSystem, traces: Mapping) -> LawReport:
             for k, by_answer in rows.items():
                 for i, targets in by_answer.items():
                     checked += 1
-                    lhs = strat_residual(sigma, k, i).plays
+                    lhs = residuals.get((k, i), frozenset())
                     rhs = frozenset().union(*[lower[y] for y in targets])
                     if lhs != rhs:
                         return LawReport("strategy_coalgebra", sizes, False,

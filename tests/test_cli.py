@@ -428,7 +428,8 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_one_chain_and_one_memo_per_machine(monkeypatch):
-    chains = _count_calls(monkeypatch, "kleisli_iterates")
+    chains = _count_calls(monkeypatch, "_trace_deltas")
+    iterates = _count_calls(monkeypatch, "kleisli_iterates")
     passes = _count_calls(monkeypatch, "_suffix_pass")
     half = F(1, 2)
     g = GenerativeCoalgebra(
@@ -445,6 +446,7 @@ def test_one_chain_and_one_memo_per_machine(monkeypatch):
     assert len(chains) == 3
     run_command("semantics", machine=f"{FIXTURES}/nda_exists.json", depth=3, engine="logic")
     assert len(passes) == 2
+    assert iterates == []
 
 
 def test_moore_compare_builds_no_monad_values(monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 
 from tests import gen, oracles
 from tests.fixtures import load
+from tracekit import engines
 from tracekit.engines import (
     GeneralizedCoalgebra,
+    GenerativeCoalgebra,
     MooreCoalgebra,
     TreeCoalgebra,
     compare_semantics,
@@ -26,10 +28,12 @@ from tracekit.engines import (
 )
 from tracekit.kernel import (
     CHECK,
+    Done,
     KernelError,
     Modality,
     MonadKind,
     MonadValue,
+    Move,
     Universe,
     pow_value,
     sub_dist,
@@ -467,6 +471,54 @@ def test_kleisli_traces_subdist_exact():
     assert ts.retained_mass() == F(3, 4)
 
 
+def _trace_weights(mv: MonadValue) -> dict:
+    """A trace value as the oracle's `{trace: weight}`, weight 1 on a powerset."""
+    if mv.kind is MonadKind.POW:
+        return dict.fromkeys(mv.payload, F(1))
+    return dict(mv.payload)
+
+
+def _count_builds(monkeypatch) -> dict:
+    counts = {"pow_value": 0, "sub_dist": 0}
+    for name in counts:
+        original = getattr(engines, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engines, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POW, MonadKind.SUBDIST])
+def test_kleisli_traces_build_one_value_per_state(monkeypatch, kind):
+    counts = _count_builds(monkeypatch)
+    built = "pow_value" if kind is MonadKind.POW else "sub_dist"
+    for seed in range(10):
+        g = gen.random_generative(seed, kind)
+        before = dict(counts)
+        kleisli_traces(g, 5)
+        assert counts[built] - before[built] == len(g.states)
+        assert sum(counts.values()) - sum(before.values()) == len(g.states)
+
+
+def test_kleisli_traces_long_cycle_matches_the_oracle(monkeypatch):
+    # one trace per state and length: building each trace once is linear in
+    # the depth here, while rebuilding every iterate takes tens of seconds
+    counts = _count_builds(monkeypatch)
+    half = F(1, 2)
+    g = GenerativeCoalgebra(
+        Universe(["p", "q"]), Universe(["a"]), MonadKind.SUBDIST,
+        {"p": sub_dist({Move("a", "q"): half, Done(CHECK): half}),
+         "q": sub_dist({Move("a", "p"): F(3, 4), Done(CHECK): F(1, 4)})})
+    traces = kleisli_traces(g, 400)
+    assert counts == {"pow_value": 0, "sub_dist": 2}
+    for x in g.states:
+        assert len(traces[x].payload.payload) == 401
+        assert _trace_weights(traces[x].payload) == oracles.generative_traces(g, x, 400)
+
+
 def test_kbar_characteristic():
     g1 = load("generative_ab")
     lang = kbar(kleisli_traces(g1, 2)["p"], g1.labels, 2)
@@ -650,6 +702,22 @@ def test_kleisli_iterates_monotone_and_stable():
         assert all(s == stable[0] for s in stable)
 
 
+@pytest.mark.parametrize("kind", [MonadKind.POW, MonadKind.SUBDIST])
+def test_kleisli_iterates_follow_the_trace_lengths(kind):
+    # iterate k holds exactly the traces of length <= k - 1, and from
+    # iterate depth + 1 on it holds every trace up to the depth
+    for seed in range(25):
+        g = gen.random_generative(seed, kind)
+        for depth in range(6):
+            want = {x: oracles.generative_traces(g, x, depth) for x in g.states}
+            chain = kleisli_iterates(g, depth, depth + 3)
+            assert len(chain) == depth + 4
+            for k, iterate in enumerate(chain):
+                for x in g.states:
+                    cut = {t: w for t, w in want[x].items() if len(t[0]) <= k - 1}
+                    assert _trace_weights(iterate[x]) == cut, (seed, depth, k, x)
+
+
 def _restrict(mv: MonadValue, m: int) -> MonadValue:
     if mv.kind is MonadKind.POW:
         return pow_value([t for t in mv.payload if len(t[0]) <= m])
@@ -715,6 +783,18 @@ def test_random_generative_engines_and_oracle(kind):
                 assert em == lang.value(w)
                 if kind is MonadKind.POW:
                     assert em == oracles.generative_value(g, x, w)
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POW, MonadKind.SUBDIST])
+def test_random_generative_trace_sets_match_the_oracle(kind):
+    for seed in range(25):
+        g = gen.random_generative(seed, kind)
+        for depth in range(6):
+            traces = kleisli_traces(g, depth)
+            for x in g.states:
+                assert traces[x].payload.kind is kind
+                assert _trace_weights(traces[x].payload) == \
+                    oracles.generative_traces(g, x, depth), (seed, depth, x)
 
 
 def test_random_tree_oracle():

@@ -10,6 +10,7 @@ from tracekit.strategies import (
     IOSignature,
     IOSystem,
     Strategy,
+    _residuals,
     check_strategy_coalgebra,
     determinise_io,
     io_traces,
@@ -72,6 +73,26 @@ def test_residual_matches_lower_bound_traces():
                 traces, lower = io_traces(sys, b), io_traces(sys, b - 1)
                 for x in sys.states:
                     assert strat_cut(traces[x], b - 1) == lower[x]
+
+
+def test_grouped_residuals_match_strat_residual():
+    # the coherence check reads every residual from one grouping of the plays
+    for mode in ("generative", "reactive"):
+        for seed in range(20):
+            sys = gen.random_io_system(seed, mode)
+            for b in range(1, 5):
+                for x, sigma in io_traces(sys, b).items():
+                    grouped = _residuals(sigma)
+                    if mode == "generative":
+                        rounds = {(k, i) for k in strat_init(sigma)
+                                  for i in sys.signature.answers(k)}
+                    else:
+                        rounds = {(k, i) for k in sys.signature.operations
+                                  for i in strat_init(sigma, k)}
+                    assert set(grouped) <= rounds
+                    for k, i in rounds:
+                        assert grouped.get((k, i), frozenset()) == \
+                            strat_residual(sigma, k, i).plays, (mode, seed, b, x, k, i)
 
 
 def test_coalgebra_coherence_and_mutation():
