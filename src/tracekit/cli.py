@@ -52,7 +52,7 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import TruncatedLanguage, enumerate_trees
+from tracekit.languages import TruncatedLanguage, enumerate_trees, enumerate_words
 from tracekit.laws import (
     LawReport,
     check_em_law,
@@ -540,19 +540,11 @@ def serialize_machine(machine) -> dict:
 # report building blocks
 
 
-def _shown_words(langs) -> list:
-    """The words of tables that share one word list, each as a list: built
-    once per report and passed to `show_language` for every table."""
-    for lang in langs:
-        return [list(w) for w in lang.table]
-    return []
-
-
 def show_language(lang: TruncatedLanguage, words: list) -> list:
-    """The table as [word, value] pairs, the words from `_shown_words`; a
-    boolean is printed as it is, any other value by `show_value`."""
-    return [[w, v if type(v) is bool else show_value(v)]
-            for w, v in zip(words, lang.table.values())]
+    """The table as [word, value] pairs, `words` being its `enumerate_words`
+    list, each word as a list, built once per report; a boolean is printed
+    as it is, any other value by `show_value`."""
+    return [[w, v if type(v) is bool else show_value(v)] for w, v in zip(words, lang.values)]
 
 
 def show_trace_set(ts) -> list:
@@ -655,7 +647,7 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
         view = step_view(machine)
         engine_language = em_language if engine == "em" else logic_language
         langs = engine_language(view, depth, states)
-        words = _shown_words(langs.values())
+        words = [list(w) for w in enumerate_words(view.alphabet, depth)]
         return {x: {"language": show_language(langs[x], words)} for x in states}
     if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
         traces = kleisli_traces(machine, depth)
@@ -695,7 +687,8 @@ def _cmd_compare(options) -> dict:
         } for v in rep.verdicts],
     }
     if rep.machine_kind != "strange":
-        words = _shown_words(rep.languages["logic"].values())
+        alphabet = machine.labels if isinstance(machine, GenerativeCoalgebra) else machine.alphabet
+        words = [list(w) for w in enumerate_words(alphabet, depth)]
         out["languages"] = {
             engine: [{"state": x, "language": show_language(rep.languages[engine][x], words)}
                      for x in sorted(rep.languages[engine], key=canon_key)]

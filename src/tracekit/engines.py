@@ -11,8 +11,8 @@ integer rows, output mask or vector, denominators); two engines run on it:
   forward (generalised subset / distribution construction) and collapse
   outputs at the end.  `em_eval` runs one word through `monad_bind`;
   `em_language(view, depth, states=None)` tabulates every state in one
-  call, by one prefix pass per start state over the word list: a word's
-  belief is its prefix's belief advanced by the last letter.  A
+  call, by one prefix pass (`languages.unfold_words`) per start state: a
+  word's belief is its prefix's belief advanced by the last letter.  A
   subdistribution belief is an integer vector over `D * L**k` after k
   letters, a powerset belief a state mask whose successors are memoised
   across start states;
@@ -32,6 +32,11 @@ integer rows, output mask or vector, denominators); two engines run on it:
   per state; `kleisli_iterates` returns the cumulative unions, the chain
   itself.
 
+Every word engine hands each state's language over as a column in the one
+`enumerate_words` order (see `languages`), which the language checks by its
+length only: an engine call builds at most one word list, never one per
+state, and `kbar` places each trace's mass at its word's position.
+
 Tree and strange machines have their own logical evaluators
 (`logic_eval_tree` per state and tree; `logic_eval_strange` for every state
 at once, bottom-up one step count at a time).  Whole-machine results are
@@ -43,7 +48,7 @@ the one subset exploration that `strategies.determinise_io` also runs.
 
 `L` and `D` are the step view's common denominators (see `StepView`): every
 transition weight is an integer over `L`, every output and semantic-table
-value an integer over `D`.  Each table entry of a subdistribution language
+value an integer over `D`.  Each column entry of a subdistribution language
 is the one `Fraction` built from such an integer and its denominator.
 """
 
@@ -84,6 +89,8 @@ from tracekit.languages import (
     enumerate_words,
     explore_subsets,
     language_equal,
+    unfold_words,
+    word_position,
 )
 from tracekit.laws import canonical_rho2
 
@@ -258,7 +265,7 @@ class GeneralizedCoalgebra:
             if tag == "lang":
                 if body.alphabet != self.alphabet:
                     raise KernelError(f"semantic state {x!r} uses a different alphabet")
-                for w, value in body.table.items():
+                for w, value in body.items():
                     _check_output(self.alg, value, f"semantic state {x!r} at {w!r}")
             elif tag == "node":
                 om, fam = body
@@ -331,7 +338,7 @@ class StepView:
             (self.index[z], w.numerator * (self.scale // w.denominator)) for z, w in mv.payload))
         self.denom = lcm(*(v.denominator for v in self.out.values()),
                          *(v.denominator for lang in self.semantic.values()
-                           for v in lang.table.values()))
+                           for v in lang.values))
         self.int_out = [self.out[y].numerator * (self.denom // self.out[y].denominator)
                         if y in self.out else 0 for y in self.states]
 
@@ -398,9 +405,9 @@ def em_eval(view: StepView, x, word) -> object:
 
 def em_language(view: StepView, depth: int, states=None) -> dict:
     """Tabulated forward semantics of every state, or of `states` only, from
-    one prefix pass per start state over every word up to `depth`: a word's
-    belief is its prefix's belief advanced by the last letter.  A machine
-    with no states has an empty semantics.
+    one `unfold_words` prefix pass per start state over every word up to
+    `depth`: a word's belief is its prefix's belief advanced by the last
+    letter.  A machine with no states has an empty semantics.
 
     Subdistribution beliefs are integer vectors over `D * L**k` after k
     letters, so a step multiplies by the view's integer rows and an entry
@@ -412,18 +419,18 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
     if not states:
         return {}
     _check_forward(view)
-    words = enumerate_words(view.alphabet, depth)  # size guard, before any belief is built
     if view.kind is MonadKind.SUBDIST:
         rows, out = view.rows, view.int_out
-        dens = list(map(view.dens, range(depth + 1)))
+        # every word's denominator D * L**len(w), the words counted against the budget first
+        word_dens = unfold_words(view.alphabet, depth, view.denom, lambda d, a: d * view.scale)
 
         def start(i: int) -> list:
             belief = [0] * len(out)
             belief[i] = 1
             return belief
 
-        def collapse(belief: list, k: int) -> Fraction:
-            return Fraction(sum(map(mul, belief, out)), dens[k])
+        def column(beliefs: list) -> list:
+            return [Fraction(sum(map(mul, b, out)), d) for b, d in zip(beliefs, word_dens)]
 
         def advance(belief: list, a) -> list:
             nxt = [0] * len(out)
@@ -440,11 +447,11 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
             return 1 << i
 
         if view.alg is Modality.JOIN:
-            def collapse(u: int, k: int) -> bool:
-                return (u & out_mask) != 0
+            def column(beliefs: list) -> list:
+                return [(u & out_mask) != 0 for u in beliefs]
         else:
-            def collapse(u: int, k: int) -> bool:
-                return (u & out_mask) == u
+            def column(beliefs: list) -> list:
+                return [(u & out_mask) == u for u in beliefs]
 
         def advance(u: int, a) -> int:
             nxt = memo[a].get(u)
@@ -452,18 +459,9 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
                 nxt = memo[a][u] = reduce(or_, [m for bit, m in view.succ[a] if u & bit], 0)
             return nxt
 
-    languages: dict = {}
-    letters = view.alphabet.elements
-    n = len(letters)
-    for x in states:
-        # `words` lists the words of each length in prefix-then-letter order, so
-        # the prefix of words[i + 1] is words[i // n] and its last letter letters[i % n]
-        beliefs = [start(view.index[x])]
-        for i in range(len(words) - 1):
-            beliefs.append(advance(beliefs[i // n], letters[i % n]))
-        languages[x] = TruncatedLanguage(view.alphabet, depth,
-                                         {w: collapse(b, len(w)) for w, b in zip(words, beliefs)})
-    return languages
+    return {x: TruncatedLanguage(view.alphabet, depth, column(
+                unfold_words(view.alphabet, depth, start(view.index[x]), advance)))
+            for x in states}
 
 
 @dataclass
@@ -476,15 +474,9 @@ class DeterminisedMoore:
     out: dict  # frozenset -> output
     trans: dict  # (frozenset, letter) -> frozenset, discovery order
 
-    def eval_word(self, start: frozenset, word) -> object:
-        u = start
-        for a in word:
-            u = self.trans[(u, a)]
-        return self.out[u]
-
     def language(self, start: frozenset, depth: int) -> TruncatedLanguage:
-        return TruncatedLanguage.tabulate(self.alphabet, depth,
-                                          lambda w: self.eval_word(start, w))
+        subsets = unfold_words(self.alphabet, depth, start, lambda u, a: self.trans[(u, a)])
+        return TruncatedLanguage(self.alphabet, depth, [self.out[u] for u in subsets])
 
 
 def determinise_bt(m: MooreCoalgebra) -> DeterminisedMoore:
@@ -587,28 +579,30 @@ def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
 
     Only single-terminal machines are supported: the table is the
     characteristic function (powerset) or per-word termination mass
-    (subdistribution) of traces ending in `terminal`.
+    (subdistribution) of traces ending in `terminal`, filled in at each
+    trace's word position.
     """
-    for _w, s in ts.payload.support:
+    pow_ = ts.kind is MonadKind.POW
+    values = [False if pow_ else Fraction(0)] * count_words(len(alphabet), depth)
+    entries = [(t, True) for t in ts.payload.payload] if pow_ else ts.payload.payload
+    for (w, s), m in entries:
         if s != terminal:
             raise KernelError(f"trace terminal {s!r} is not {terminal!r}; "
                               "multi-terminal trace sets have no language collapse")
-    if ts.kind is MonadKind.POW:
-        members = {w for w, _ in ts.payload.elements}
-        fn = lambda w: w in members
-    else:
-        masses = {w: m for (w, _), m in ts.payload.payload}
-        fn = lambda w: masses.get(w, Fraction(0))
-    return TruncatedLanguage.tabulate(alphabet, depth, fn)
+        if len(w) <= depth:
+            values[word_position(alphabet, w)] = m
+    return TruncatedLanguage(alphabet, depth, values)
 
 
 # ---------------------------------------------------------------------------
 # logical engine
 
 
-def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
+def _suffix_pass(view: StepView, words: list, positions) -> tuple[dict, dict]:
     """The logical engine's one backward pass: every state's value on every
-    word of `words`, which lists each word's tail `w[1:]` before the word.
+    word of `words`, which lists each word's tail `w[1:]` before the word;
+    `positions` gives each word's `word_position`, where a semantic state's
+    column holds its value.
 
     A word's value at an ordinary state is its output on the empty word, or
     the modality over its successors' values on the tail; a semantic state
@@ -656,7 +650,7 @@ def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
 
     vectors: dict = {}
     poison: dict = {}
-    for w in words:
+    for w, pos in zip(words, positions):
         if w:
             a, tail = w[0], w[1:]
             t = step(a, vectors[tail])
@@ -669,7 +663,7 @@ def _suffix_pass(view: StepView, words: list) -> tuple[dict, dict]:
             if len(w) > lang.depth:
                 p |= 1 << i
             else:
-                t = look_up(t, i, lang.table[w], len(w))
+                t = look_up(t, i, lang.values[pos], len(w))
         vectors[w] = t
         if p:
             poison[w] = p
@@ -686,9 +680,9 @@ def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
                        f"cannot answer a residual word of length {len(w)}")
 
 
-def _state_table(view: StepView, vectors: dict, poison: dict, x, words) -> dict:
-    """State `x`'s values on `words`, read from `_suffix_pass` results; the
-    first poisoned entry among them raises."""
+def _state_column(view: StepView, vectors: dict, poison: dict, x, words) -> list:
+    """State `x`'s values on `words`, in order, read from `_suffix_pass`
+    results; the first poisoned entry among them raises."""
     i = view.index[x]
     bit = 1 << i
     if poison:
@@ -697,8 +691,8 @@ def _state_table(view: StepView, vectors: dict, poison: dict, x, words) -> dict:
                 raise _underflow(view, poison, x, w)
     if view.alg is Modality.EXPECT:
         dens = list(map(view.dens, range(max(map(len, words)) + 1)))
-        return {w: Fraction(vectors[w][i], dens[len(w)]) for w in words}
-    return {w: (vectors[w] & bit) != 0 for w in words}
+        return [Fraction(vectors[w][i], dens[len(w)]) for w in words]
+    return [(vectors[w] & bit) != 0 for w in words]
 
 
 def logic_eval(view: StepView, x, word) -> object:
@@ -710,8 +704,10 @@ def logic_eval(view: StepView, x, word) -> object:
     """
     view.states.require(x)
     word = tuple(view.alphabet.require(a) for a in word)
-    vectors, poison = _suffix_pass(view, [word[k:] for k in range(len(word), -1, -1)])
-    return _state_table(view, vectors, poison, x, [word])[word]
+    suffixes = [word[k:] for k in range(len(word), -1, -1)]
+    vectors, poison = _suffix_pass(view, suffixes,
+                                   [word_position(view.alphabet, w) for w in suffixes])
+    return _state_column(view, vectors, poison, x, [word])[0]
 
 
 def logic_language(view: StepView, depth: int, states=None) -> dict:
@@ -726,9 +722,9 @@ def logic_language(view: StepView, depth: int, states=None) -> dict:
     if not states:
         return {}
     words = enumerate_words(view.alphabet, depth)
-    vectors, poison = _suffix_pass(view, words)
+    vectors, poison = _suffix_pass(view, words, range(len(words)))
     return {x: TruncatedLanguage(view.alphabet, depth,
-                                 _state_table(view, vectors, poison, x, words))
+                                 _state_column(view, vectors, poison, x, words))
             for x in states}
 
 

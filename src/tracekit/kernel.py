@@ -270,7 +270,7 @@ def pow_value(items: Iterable) -> MonadValue:
 def sub_dist(weights: Mapping | Iterable) -> MonadValue:
     """Canonical subdistribution: positive reduced weights, mass <= 1."""
     items = weights.items() if isinstance(weights, Mapping) else weights
-    acc: list = []
+    acc: dict = {}  # equal elements merge under the first key seen
     for elem, w in items:
         if type(w) is not Fraction:
             w = Fraction(w)
@@ -278,16 +278,12 @@ def sub_dist(weights: Mapping | Iterable) -> MonadValue:
             raise MassError(f"negative weight {w} at {elem!r}")
         if w == 0:
             continue
-        for i, (e, wo) in enumerate(acc):
-            if e == elem:
-                acc[i] = (e, wo + w)
-                break
-        else:
-            acc.append((elem, w))
-    total = sum((w for _, w in acc), Fraction(0))
+        old = acc.get(elem)
+        acc[elem] = w if old is None else old + w
+    total = sum(acc.values(), Fraction(0))
     if total > 1:
         raise MassError(f"total mass {total} exceeds 1")
-    return MonadValue(MonadKind.SUBDIST, tuple(sorted(acc, key=lambda p: canon_key(p[0]))))
+    return MonadValue(MonadKind.SUBDIST, tuple(sorted(acc.items(), key=lambda p: canon_key(p[0]))))
 
 
 def double_pow(sets: Iterable[Iterable]) -> MonadValue:

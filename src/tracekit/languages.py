@@ -2,15 +2,20 @@
 
 A truncated language is a total table from all words up to a fixed depth to
 output values; it is the finite stand-in for the infinite language spaces
-the engines converge to.  Trees up to a height are enumerated here too, once
-per report: the tree engine evaluates each state on that one list, with no
-table class of its own.  The truncation depth is always an explicit
-parameter.
+the engines converge to.  It is held as one column of values in
+`enumerate_words` order, the one word order, which only this module knows
+(`unfold_words`, `word_position`, `word_at`).  The words up to length k are
+the first entries of every longer list, so a word has the same position in
+every column deep enough to hold it.  Trees up to a height are enumerated
+here too, once per report and each layer counted before it is built: the
+tree engine evaluates each state on that one list.  The truncation depth is
+always an explicit parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from tracekit.kernel import KernelError, MonadKind, MonadValue, Universe, canon_key
@@ -49,17 +54,42 @@ def count_words(letters: int, depth: int, guard: int = DEFAULT_GUARD) -> int:
     return count
 
 
-def enumerate_words(alphabet: Universe, depth: int, guard: int = DEFAULT_GUARD) -> list[tuple]:
+def unfold_words(alphabet: Universe, depth: int, root, step: Callable) -> list:
+    """`root` at the empty word and `step(value at w, a)` at `w + (a,)`, for
+    every word of length <= depth, listed in `enumerate_words` order."""
+    letters = alphabet.elements
+    n = len(letters)
+    values = [root]
+    for i in range(count_words(n, depth) - 1):
+        # each length lists its words prefix by prefix, so word i + 1 is word i // n
+        # followed by letter i % n
+        values.append(step(values[i // n], letters[i % n]))
+    return values
+
+
+def enumerate_words(alphabet: Universe, depth: int) -> list[tuple]:
     """All words of length <= depth, in length-then-alphabet order."""
-    count_words(len(alphabet), depth, guard)
-    words: list[tuple] = [()]
-    level: list[tuple] = [()]
-    for _ in range(depth):
-        level = [w + (a,) for w in level for a in alphabet]
-        if not level:
-            break
-        words.extend(level)
-    return words
+    return unfold_words(alphabet, depth, (), lambda w, a: w + (a,))
+
+
+def word_position(alphabet: Universe, word: tuple) -> int:
+    """The position of `word` in `enumerate_words(alphabet, depth)` for
+    every depth >= len(word)."""
+    n = len(alphabet)
+    shorter, rank, level = 0, 0, 1
+    for a in word:
+        shorter += level
+        level *= n
+        rank = rank * n + alphabet.index(a)
+    return shorter + rank
+
+
+def word_at(alphabet: Universe, i: int) -> tuple:
+    """The word at position `i` of `enumerate_words`: `word_position`'s inverse."""
+    n, length, level = len(alphabet), 0, 1
+    while i >= level:  # skip the shorter words
+        i, length, level = i - level, length + 1, level * n
+    return tuple(alphabet.elements[i // n ** (length - 1 - k) % n] for k in range(length))
 
 
 def explore_subsets(states: Universe, successors: Callable[[frozenset], Iterable[tuple]],
@@ -121,24 +151,17 @@ def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAU
     if depth < 1:
         raise KernelError("tree depth must be >= 1")
     symbols = sorted(signature, key=canon_key)
-    trees: list[Tree] = [Tree(s) for s in symbols if signature[s] == 0]
+    leaves = [Tree(s) for s in symbols if signature[s] == 0]
+    trees = leaves
     for _ in range(depth - 1):
-        layer = list(trees)
-        for s in symbols:
-            n = signature[s]
-            if n == 0:
-                continue
-            stack: list[list[Tree]] = [[]]
-            for _slot in range(n):
-                stack = [partial + [t] for partial in stack for t in layer]
-            for children in stack:
-                cand = Tree(s, tuple(children))
-                if cand not in trees:
-                    trees.append(cand)
-        if len(trees) > guard:
-            raise SizeGuardError(f"{len(trees)} trees exceeds guard {guard}")
-        if len(trees) == len(layer):  # a fixpoint: deeper layers add nothing either
+        # a taller tree is a leaf or a symbol over shorter children, each distinct
+        count = len(leaves) + sum(len(trees) ** signature[s] for s in symbols if signature[s])
+        if count > guard:
+            raise SizeGuardError(f"{count} trees exceeds guard {guard}")
+        if count == len(trees):  # a fixpoint: deeper layers add nothing either
             break
+        trees = leaves + [Tree(s, kids) for s in symbols if signature[s]
+                          for kids in product(trees, repeat=signature[s])]
     return sorted(trees, key=canon_key)
 
 
@@ -148,46 +171,54 @@ def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAU
 
 @dataclass
 class TruncatedLanguage:
-    """Total map from words of length <= depth to output values."""
+    """Total map from words of length <= depth to output values, held as
+    the column `values`: entry i is the value of word i of
+    `enumerate_words(alphabet, depth)`."""
 
     alphabet: Universe
     depth: int
-    table: dict
+    values: list
 
     def __post_init__(self):
-        """Check that the table is total, and keep it in `enumerate_words`
-        order, so that iterating it visits words in that order."""
-        words = enumerate_words(self.alphabet, self.depth)
-        if list(self.table) != words:
-            if len(self.table) != len(words) or not all(w in self.table for w in words):
+        """An engine's column is checked by its length.  Anything else is a
+        table from outside, `{word: value}`, which must be total; it becomes
+        the column."""
+        if isinstance(self.values, list):
+            if len(self.values) != count_words(len(self.alphabet), self.depth):
                 raise ShapeMismatchError(
-                    f"table must be total on words of length <= {self.depth}"
-                )
-            self.table = {w: self.table[w] for w in words}
+                    f"column must hold one value per word of length <= {self.depth}")
+            return
+        table, words = self.values, enumerate_words(self.alphabet, self.depth)
+        try:
+            if len(table) == len(words):
+                self.values = [table[w] for w in words]
+                return
+        except KeyError:
+            pass
+        raise ShapeMismatchError(f"table must be total on words of length <= {self.depth}")
 
-    @classmethod
-    def tabulate(cls, alphabet: Universe, depth: int, fn: Callable[[tuple], object]):
-        return cls(alphabet, depth, {w: fn(w) for w in enumerate_words(alphabet, depth)})
+    @property
+    def table(self) -> dict:
+        return dict(self.items())
 
     def value(self, word: tuple):
-        try:
-            return self.table[tuple(word)]
-        except KeyError:
-            raise KernelError(f"word {word!r} beyond truncation depth {self.depth}") from None
+        word = tuple(word)
+        if len(word) > self.depth:
+            raise KernelError(f"word {word!r} beyond truncation depth {self.depth}")
+        return self.values[word_position(self.alphabet, word)]
 
     def items(self):
-        return self.table.items()
+        return zip(enumerate_words(self.alphabet, self.depth), self.values)
 
 
 def language_equal(l1: TruncatedLanguage, l2: TruncatedLanguage):
-    """Table equality; on failure also return the first differing word."""
+    """Column equality; on failure also return the first differing word."""
     if l1.alphabet != l2.alphabet or l1.depth != l2.depth:
         raise ShapeMismatchError("languages have different alphabet or depth")
-    other = l2.table
-    for w, v in l1.table.items():
-        if v != other[w]:
-            return False, w
-    return True, None
+    if l1.values == l2.values:
+        return True, None
+    i = next(i for i, (u, v) in enumerate(zip(l1.values, l2.values)) if u != v)
+    return False, word_at(l1.alphabet, i)
 
 
 @dataclass

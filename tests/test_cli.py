@@ -2,8 +2,11 @@
 
 import glob
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from tests import gen, oracles
 from tests.fixtures import load
-from tracekit import cli, engines, strategies
+from tracekit import cli, engines, languages, strategies
 from tracekit.cli import (
     MachineFormatError,
     main,
@@ -23,7 +26,17 @@ from tracekit.cli import (
     strange_pair,
 )
 from tracekit.engines import GenerativeCoalgebra, MooreCoalgebra, compare_semantics
-from tracekit.kernel import CHECK, Done, KernelError, MonadKind, Move, Universe, sub_dist
+from tracekit.kernel import (
+    CHECK,
+    Done,
+    KernelError,
+    Modality,
+    MonadKind,
+    Move,
+    Universe,
+    pow_value,
+    sub_dist,
+)
 
 FIXTURES = "machines"
 ROOT = Path(__file__).resolve().parent.parent
@@ -415,16 +428,50 @@ def test_semantics_state_scope_needs_only_that_states_depth():
     assert len(rep["results"][0]["language"]) == 15
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, modules=(engines,)) -> list:
+    """Record every call of `name` made through any of `modules`."""
     calls = []
-    original = getattr(engines, name)
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engines, name, counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _ring(n: int, kind: str):
+    """An n-state machine over {a, b}: `a` steps round a ring, `b` back to s0."""
+    states = Universe([f"s{i}" for i in range(n)])
+    nxt = {x: f"s{(i + 1) % n}" for i, x in enumerate(states)}
+    if kind == "generative":
+        return GenerativeCoalgebra(states, Universe(["a", "b"]), MonadKind.SUBDIST, {
+            x: sub_dist({Move("a", nxt[x]): F(1, 2), Move("b", "s0"): F(1, 4),
+                         Done(CHECK): F(1, 4)}) for x in states})
+    return MooreCoalgebra(states, Universe(["a", "b"]), MonadKind.POW, Modality.JOIN,
+                          {x: i % 3 == 0 for i, x in enumerate(states)},
+                          {x: {"a": pow_value([nxt[x], x]), "b": pow_value(["s0"])}
+                           for x in states})
+
+
+def test_word_lists_per_command_do_not_grow_with_the_states(monkeypatch, tmp_path):
+    # engines hand over columns in `enumerate_words` order and check them by
+    # length: no word list is built per state
+    calls = _count_calls(monkeypatch, "enumerate_words", (languages, engines, cli))
+    counts: dict = {}
+    for kind in ("generative", "moore"):
+        for n in (1, 2, 4, 8):
+            path = tmp_path / f"{kind}{n}.json"
+            path.write_text(json.dumps(serialize_machine(_ring(n, kind))))
+            for command, engine in (("compare", None), ("semantics", "em"),
+                                    ("semantics", "logic")):
+                calls.clear()
+                run_command(command, machine=str(path), depth=4, engine=engine)
+                counts.setdefault((kind, command, engine), set()).add(len(calls))
+    assert all(len(c) == 1 for c in counts.values()), counts
+    assert max(max(c) for c in counts.values()) <= 2, counts  # the engine's and the report's
 
 
 def test_one_chain_and_one_memo_per_machine(monkeypatch):
@@ -484,6 +531,20 @@ def test_powerset_moore_compare_calls_no_algebra_map(monkeypatch):
 def test_negative_depth_is_rejected(argv, capsys):
     assert main(argv + ["--depth", "-2"]) == 2
     assert capsys.readouterr().err.startswith("error: --depth must be >= 0")
+
+
+def test_tree_semantics_beyond_the_budget_fails_fast():
+    # trees up to height 6 over tree_fc's signature number 677 ** 2 + 1; the
+    # budget is checked on that count, before the layer is built
+    assert all(len(r["tree_language"]) == 677 for r in run_command(
+        "semantics", machine=f"{FIXTURES}/tree_fc.json", depth=5)["results"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "tracekit.cli", "semantics",
+                           f"{FIXTURES}/tree_fc.json", "--depth", "6"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert re.fullmatch(r"error: \d+ trees exceeds guard 20000\n", done.stderr)
 
 
 def test_counterexample_depth_defaults_only_when_absent():

@@ -205,6 +205,50 @@ def test_subdist_drops_zeros_and_checks_mass():
         sub_dist({"a": F(-1, 2)})
 
 
+def _scan_sub_dist(pairs) -> tuple:
+    """The reference merge: scan the pairs kept so far for an equal element."""
+    acc: list = []
+    for elem, w in pairs:
+        if w == 0:
+            continue
+        for i, (e, wo) in enumerate(acc):
+            if e == elem:
+                acc[i] = (e, wo + w)
+                break
+        else:
+            acc.append((elem, F(w)))
+    return tuple(sorted(acc, key=lambda p: canon_key(p[0])))
+
+
+def _merge_inputs():
+    """Pair lists in which elements repeat: two subdistributions' halves at
+    once, from the generated machines and the law pools, and numbers that
+    are equal across types."""
+    values = []
+    for seed in range(10):
+        values += [mv for row in gen.random_moore(seed, "pa").trans.values()
+                   for mv in row.values()]
+        values += list(gen.random_generative(seed, MonadKind.SUBDIST).c.values())
+    rng = random.Random(3)
+    X = ["c0", "c1", "c2"]
+    funcs = all_finite_funcs(["a", "b"], X, rng)
+    pool1 = t_pool(MonadKind.SUBDIST, [(om, g) for om in (F(0), F(1, 2), 1) for g in funcs], rng)
+    values += pool1 + t_pool(MonadKind.SUBDIST, pool1, rng, small=True)
+    values += subdist_pool(X, rng)
+    for u, v in zip(values, values[1:] + values[:1]):
+        yield [(e, w / 2) for e, w in u.payload + v.payload]
+    yield [(1, F(1, 4)), (True, F(1, 8)), (F(1), F(1, 4)), (True, 0), (0, F(1, 8)),
+           (False, F(1, 4))]
+
+
+def test_sub_dist_merges_as_the_scan_does():
+    for pairs in _merge_inputs():
+        got, want = sub_dist(pairs).payload, _scan_sub_dist(pairs)
+        assert got == want
+        assert all(e is f and type(w) is type(x) for (e, w), (f, x) in zip(got, want))
+    assert [type(e) for e, _ in sub_dist(pairs).payload] == [int, int]  # 0 and 1 come first
+
+
 def test_doublepow_canonical():
     assert double_pow([["z", "y"], ["y", "z"]]) == double_pow([["y", "z"]])
 

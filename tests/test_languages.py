@@ -1,9 +1,15 @@
 """Enumeration order, truncated-language invariants and guards."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from tracekit.kernel import KernelError, Universe
+from tests import gen
+from tracekit.engines import em_language, logic_language, step_view
+from tracekit.kernel import KernelError, MonadKind, Universe
 from tracekit.languages import (
+    ShapeMismatchError,
     SizeGuardError,
     Tree,
     TruncatedLanguage,
@@ -12,6 +18,8 @@ from tracekit.languages import (
     enumerate_words,
     explore_subsets,
     language_equal,
+    word_at,
+    word_position,
 )
 
 
@@ -79,6 +87,16 @@ def test_enumerate_trees_constant_and_binary():
     assert got == [Tree("c"), Tree("f", (Tree("c"), Tree("c")))]
 
 
+def test_enumerate_trees_counts_each_layer_exactly():
+    # trees of height <= h: 1 leaf + (height <= h - 1) + (height <= h - 1) ** 2,
+    # that is 1, 3, 13, 183; the guard admits exactly that many
+    sig = {"c": 0, "f": 1, "g": 2}
+    assert [len(enumerate_trees(sig, h)) for h in (1, 2, 3, 4)] == [1, 3, 13, 183]
+    assert len(enumerate_trees(sig, 4, guard=183)) == 183
+    with pytest.raises(SizeGuardError, match="183 trees exceeds guard 182"):
+        enumerate_trees(sig, 4, guard=182)
+
+
 def test_enumerate_trees_no_nullary():
     assert enumerate_trees({"f": 2}, 3) == []
 
@@ -120,18 +138,63 @@ def test_language_keeps_its_table_in_word_order():
     assert language_equal(lang, other) == (False, ("a",))
 
 
+def test_word_position_places_every_word():
+    for letters in ([], ["a"], ["a", "b"], ["x", "y", "z"]):
+        A = Universe(letters)
+        for i, w in enumerate(enumerate_words(A, 4)):
+            assert word_position(A, w) == i and word_at(A, i) == w
+
+
+def test_column_of_the_wrong_length_is_rejected():
+    A = Universe(["a", "b"])
+    assert TruncatedLanguage(A, 2, [True] * 7).table == dict.fromkeys(enumerate_words(A, 2), True)
+    for n in (0, 3, 6, 8):
+        with pytest.raises(ShapeMismatchError, match="one value per word"):
+            TruncatedLanguage(A, 2, [True] * n)
+
+
+def _changed(v):
+    return not v if isinstance(v, bool) else v / 2 + Fraction(1, 7)
+
+
+def test_language_equal_finds_the_first_changed_word():
+    # columns of random machines with one or two entries changed: the first
+    # difference is the word a plain scan in `enumerate_words` order meets first
+    rng = random.Random(0)
+    for seed in range(10):
+        machines = [gen.random_moore(seed, config) for config in gen.CONFIGS]
+        machines += [gen.random_generative(seed, kind)
+                     for kind in (MonadKind.POW, MonadKind.SUBDIST)]
+        for m in machines:
+            view = step_view(m)
+            langs = (logic_language(view, 3) if m.kind is MonadKind.DOUBLE_POW
+                     else em_language(view, 3))
+            for lang in langs.values():
+                words, given = enumerate_words(lang.alphabet, 3), lang.table
+                assert language_equal(lang, TruncatedLanguage(lang.alphabet, 3, given)) \
+                    == (True, None)
+                for _ in range(4):
+                    table = dict(given)
+                    for w in rng.sample(words, rng.randint(1, 2)):
+                        table[w] = _changed(table[w])
+                    first = next(w for w in words if table[w] != given[w])
+                    other = TruncatedLanguage(lang.alphabet, 3, table)
+                    assert language_equal(lang, other) == language_equal(other, lang) \
+                        == (False, first)
+
+
 def test_language_equal_reflexive_and_first_difference():
     A = Universe(["a"])
-    l1 = TruncatedLanguage.tabulate(A, 0, lambda w: False)
-    l2 = TruncatedLanguage.tabulate(A, 0, lambda w: True)
+    l1 = TruncatedLanguage(A, 0, [False])
+    l2 = TruncatedLanguage(A, 0, [True])
     assert language_equal(l1, l1) == (True, None)
     assert language_equal(l1, l2) == (False, ())
 
 
 def test_language_equal_shape_mismatch():
     A = Universe(["a"])
-    l1 = TruncatedLanguage.tabulate(A, 0, lambda w: False)
-    l2 = TruncatedLanguage.tabulate(A, 1, lambda w: False)
+    l1 = TruncatedLanguage(A, 0, [False])
+    l2 = TruncatedLanguage(A, 1, [False, False])
     with pytest.raises(KernelError):
         language_equal(l1, l2)
 
