@@ -547,10 +547,10 @@ def show_language(lang: TruncatedLanguage, words: list) -> list:
     return [[w, v if type(v) is bool else show_value(v)] for w, v in zip(words, lang.values)]
 
 
-def show_trace_set(ts) -> list:
+def show_trace_set(ts: MonadValue) -> list:
     if ts.kind is MonadKind.POW:
-        return [[list(w), s] for w, s in ts.payload.elements]
-    return [[list(w), s, show_value(m)] for (w, s), m in ts.payload.payload]
+        return [[list(w), s] for w, s in ts.elements]
+    return [[list(w), s, show_value(m)] for (w, s), m in ts.payload]
 
 
 def show_law_report(rep: LawReport) -> dict:
@@ -655,7 +655,7 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
         for x in states:
             out[x] = {"traces": show_trace_set(traces[x])}
             if machine.kind is MonadKind.SUBDIST:
-                out[x]["retained_mass"] = show_value(traces[x].retained_mass())
+                out[x]["retained_mass"] = show_value(traces[x].mass())
         return out
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
         trees = enumerate_trees(machine.signature, max(depth, 1))

@@ -28,9 +28,10 @@ integer rows, output mask or vector, denominators); two engines run on it:
   complete-trace equations of a generative machine from bottom, semi-naively:
   iterate n + 1 adds only the traces of length n, and one pass,
   `_trace_deltas`, builds each of them once from the traces the previous
-  iterate added.  `kleisli_traces` unions every delta and builds one value
-  per state; `kleisli_iterates` returns the cumulative unions, the chain
-  itself.
+  iterate added.  A state's traces are a plain branching value (a
+  `MonadValue` over (word, terminal) pairs): `kleisli_traces` unions every
+  delta and builds one value per state, the last iterate of
+  `kleisli_iterates`, which returns the cumulative unions, the chain itself.
 
 Every word engine hands each state's language over as a column in the one
 `enumerate_words` order (see `languages`), which the language checks by its
@@ -84,7 +85,6 @@ from tracekit.kernel import (
 from tracekit.languages import (
     Tree,
     TruncatedLanguage,
-    TruncatedTraceSet,
     count_words,
     enumerate_words,
     explore_subsets,
@@ -101,6 +101,11 @@ _ALLOWED = {
     (MonadKind.SUBDIST, Modality.EXPECT),
     (MonadKind.DOUBLE_POW, Modality.JOIN_MEET),
 }
+
+
+def _check_modality(m) -> None:
+    if (m.kind, m.alg) not in _ALLOWED:
+        raise AlgebraMismatchError(f"modality: {m.alg.value} does not evaluate {m.kind.value}")
 
 
 def _check_output(alg: Modality, value, where: str):
@@ -132,8 +137,7 @@ class MooreCoalgebra:
     trans: dict  # state -> letter -> MonadValue over states
 
     def __post_init__(self):
-        if (self.kind, self.alg) not in _ALLOWED:
-            raise AlgebraMismatchError(f"{self.alg.value} does not evaluate {self.kind.value}")
+        _check_modality(self)
         out = {}
         for x in self.states:
             if x not in self.out:
@@ -209,8 +213,7 @@ class TreeCoalgebra:
     c: dict  # state -> MonadValue over (symbol, tuple-of-states)
 
     def __post_init__(self):
-        if (self.kind, self.alg) not in _ALLOWED:
-            raise AlgebraMismatchError(f"{self.alg.value} does not evaluate {self.kind.value}")
+        _check_modality(self)
         for x in self.states:
             mv = self.c.get(x)
             if mv is None:
@@ -222,7 +225,7 @@ class TreeCoalgebra:
                 if sym not in self.signature:
                     raise KernelError(f"undeclared symbol {sym!r}")
                 if len(kids) != self.signature[sym]:
-                    raise KernelError(f"arity mismatch at {sym!r}: {kids!r}")
+                    raise KernelError(f"transitions[{x!r}]: arity mismatch at {sym!r}: {kids!r}")
                 for y in kids:
                     self.states.require(y)
 
@@ -255,8 +258,7 @@ class GeneralizedCoalgebra:
     c: dict  # state -> ("lang", TruncatedLanguage) | ("node", (output, {letter: MonadValue}))
 
     def __post_init__(self):
-        if (self.kind, self.alg) not in _ALLOWED:
-            raise AlgebraMismatchError(f"{self.alg.value} does not evaluate {self.kind.value}")
+        _check_modality(self)
         for x in self.states:
             entry = self.c.get(x)
             if entry is None:
@@ -559,32 +561,34 @@ def kleisli_iterates(gc: GenerativeCoalgebra, depth: int, n_iters: int) -> list[
 
 def kleisli_traces(gc: GenerativeCoalgebra, depth: int) -> dict:
     """Exact set/subdistribution of complete traces of length <= depth, for
-    every state: the least fixpoint of the trace equations, as the union of
-    every delta of one `_trace_deltas` pass, with one value built per state
-    at the end (the chain is monotone, so the final mass bounds every
-    iterate's).  Within the word budget of `enumerate_words` over the
-    labels, checked before any trace is built."""
+    every state, as `{state: MonadValue}` over (word, terminal) pairs: the
+    least fixpoint of the trace equations, as the union of every delta of
+    one `_trace_deltas` pass, with one value built per state at the end (the
+    chain is monotone, so the final mass bounds every iterate's).  It equals
+    the last entry of `kleisli_iterates(gc, depth, depth + 1)`.  Within the
+    word budget of `enumerate_words` over the labels, checked before any
+    trace is built."""
     count_words(len(gc.labels), depth)
     union = {x: {} for x in gc.states}
     for delta in _trace_deltas(gc, depth):
         for x in gc.states:
             union[x].update(delta[x])
-    return {x: TruncatedTraceSet(gc.kind, depth, _trace_value(gc.kind, union[x]))
-            for x in gc.states}
+    return {x: _trace_value(gc.kind, union[x]) for x in gc.states}
 
 
-def kbar(ts: TruncatedTraceSet, alphabet: Universe, depth: int,
+def kbar(ts: MonadValue, alphabet: Universe, depth: int,
          terminal=CHECK) -> TruncatedLanguage:
-    """Collapse a trace set to the language of words that terminate.
+    """Collapse a branching value over traces to the language of words that
+    terminate.
 
     Only single-terminal machines are supported: the table is the
     characteristic function (powerset) or per-word termination mass
     (subdistribution) of traces ending in `terminal`, filled in at each
-    trace's word position.
+    trace's word position; traces longer than `depth` are left out.
     """
     pow_ = ts.kind is MonadKind.POW
     values = [False if pow_ else Fraction(0)] * count_words(len(alphabet), depth)
-    entries = [(t, True) for t in ts.payload.payload] if pow_ else ts.payload.payload
+    entries = [(t, True) for t in ts.payload] if pow_ else ts.payload
     for (w, s), m in entries:
         if s != terminal:
             raise KernelError(f"trace terminal {s!r} is not {terminal!r}; "
@@ -730,8 +734,6 @@ def logic_language(view: StepView, depth: int, states=None) -> dict:
 
 def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
     """Evaluate one tree as a test: match root symbols, meet over children."""
-    if tree.symbol not in tc.signature or len(tree.children) != tc.signature[tree.symbol]:
-        raise KernelError(f"tree node {tree.symbol!r} does not fit the signature")
     bot = omega_bot(tc.alg)
 
     def match(node, t: Tree):
@@ -808,7 +810,7 @@ class SemanticsReport:
     languages: dict  # engine -> state -> TruncatedLanguage (or {state: values})
     verdicts: list[PairVerdict]
     all_equal: bool
-    trace_sets: dict = field(default_factory=dict)  # state -> TruncatedTraceSet
+    trace_sets: dict = field(default_factory=dict)  # state -> MonadValue over traces
     retained_mass: dict = field(default_factory=dict)  # state -> Fraction
     collapse_witnesses: list = field(default_factory=list)  # (x, y) equal-language, distinct-trace pairs
     collapse_injective: Optional[bool] = None
@@ -858,9 +860,8 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         verdicts = _pairwise(["em", "logic", "kleisli"], langs, machine.states)
         retained = {}
         if machine.kind is MonadKind.SUBDIST:
-            retained = {x: traces[x].retained_mass() for x in machine.states}
-        witnesses = _collapse_witnesses(machine.states, langs["em"],
-                                        {x: traces[x].payload for x in machine.states})
+            retained = {x: traces[x].mass() for x in machine.states}
+        witnesses = _collapse_witnesses(machine.states, langs["em"], traces)
         return SemanticsReport("generative", depth, ["em", "logic", "kleisli"], langs,
                                verdicts, all(v.equal for v in verdicts),
                                trace_sets=traces, retained_mass=retained,
@@ -877,7 +878,7 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         for i, x in enumerate(states):
             for y in states[i + 1:]:
                 log_eq = logic_tables[x] == logic_tables[y]
-                kl_eq = traces[x].payload == traces[y].payload
+                kl_eq = traces[x] == traces[y]
                 if log_eq and not kl_eq:
                     witnesses.append((x, y))
                 verdicts.append(PairVerdict("logic", "kleisli", (x, y), log_eq == kl_eq,
@@ -892,13 +893,13 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
     raise KernelError(f"cannot compare semantics of {type(machine).__name__}")
 
 
-def _collapse_witnesses(states: Universe, langs: dict, trace_payloads: dict) -> list:
+def _collapse_witnesses(states: Universe, langs: dict, traces: dict) -> list:
     """State pairs with equal languages but different trace sets."""
     out = []
     elems = list(states)
     for i, x in enumerate(elems):
         for y in elems[i + 1:]:
             eq, _ = language_equal(langs[x], langs[y])
-            if eq and trace_payloads[x] != trace_payloads[y]:
+            if eq and traces[x] != traces[y]:
                 out.append((x, y))
     return out

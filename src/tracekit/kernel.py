@@ -11,7 +11,8 @@ happens only where a value is built to be stored, compared or printed:
 that is collapsed at once goes through `algebra_map(alg, f, v)`, which
 equals `algebra_eval(alg, functor_map(kind, f, v))` but applies `f` and the
 modality in one pass over `v`, building no mapped value.  `MonadValue` and
-`FiniteFunc` compute their canonical key once and keep it.
+`FiniteFunc` compute their canonical key and their hash once and keep them,
+so merging nested values does not rehash their contents.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def canon_key(x: Any):
     raise TypeError(f"no canonical order for {type(x).__name__}: {x!r}")
 
 
-def _cached_key(obj, compute: Callable[[], tuple]) -> tuple:
-    """The canonical key of a frozen value, computed on first use and kept
-    outside its dataclass fields, so `==`, `hash` and `repr` ignore it."""
+def _cached(obj, attr: str, compute: Callable[[], Any]):
+    """A derived value of a frozen value (its canonical key or its hash),
+    computed on first use and kept outside its dataclass fields, so `==`,
+    `repr` and `dataclasses.asdict` ignore it."""
     try:
-        return obj._canon_key
+        return getattr(obj, attr)
     except AttributeError:
-        key = compute()
-        object.__setattr__(obj, "_canon_key", key)
-        return key
+        value = compute()
+        object.__setattr__(obj, attr, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,10 @@ class FiniteFunc:
         raise KeyError(key)
 
     def _canon_key_(self):
-        return _cached_key(self, lambda: (7, canon_key(self.entries)))
+        return _cached(self, "_canon_key", lambda: (7, canon_key(self.entries)))
+
+    def __hash__(self):
+        return _cached(self, "_hash", lambda: hash((self.entries,)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,10 @@ class MonadValue:
     payload: tuple
 
     def _canon_key_(self):
-        return _cached_key(self, lambda: (10, self.kind.value, canon_key(self.payload)))
+        return _cached(self, "_canon_key", lambda: (10, self.kind.value, canon_key(self.payload)))
+
+    def __hash__(self):
+        return _cached(self, "_hash", lambda: hash((self.kind, self.payload)))
 
     # -- accessors ---------------------------------------------------------
 

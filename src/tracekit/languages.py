@@ -9,7 +9,9 @@ the first entries of every longer list, so a word has the same position in
 every column deep enough to hold it.  Trees up to a height are enumerated
 here too, once per report and each layer counted before it is built: the
 tree engine evaluates each state on that one list.  The truncation depth is
-always an explicit parameter.
+always an explicit parameter.  Trace sets have no type here: the fixpoint
+engine returns each state's traces as a plain branching value over
+(word, terminal) pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from tracekit.kernel import KernelError, MonadKind, MonadValue, Universe, canon_key
+from tracekit.kernel import KernelError, Universe, canon_key
 
 #: Hard ceiling on enumerated objects, shared by words and trees.
 DEFAULT_GUARD = 20_000
@@ -219,23 +221,3 @@ def language_equal(l1: TruncatedLanguage, l2: TruncatedLanguage):
         return True, None
     i = next(i for i, (u, v) in enumerate(zip(l1.values, l2.values)) if u != v)
     return False, word_at(l1.alphabet, i)
-
-
-@dataclass
-class TruncatedTraceSet:
-    """Branching value over complete traces (word, terminal) of length <= depth."""
-
-    kind: MonadKind
-    depth: int
-    payload: MonadValue
-
-    def __post_init__(self):
-        if self.payload.kind is not self.kind:
-            raise ShapeMismatchError("trace payload kind disagrees with declared kind")
-        for word, _terminal in self.payload.support:
-            if len(word) > self.depth:
-                raise ShapeMismatchError(f"trace {word!r} longer than depth {self.depth}")
-
-    def retained_mass(self):
-        """Total mass kept after truncation (subdistributions only)."""
-        return self.payload.mass()

@@ -6,6 +6,12 @@ the offending input and both sides so a failure can be re-verified.
 Powerset input spaces are exhausted while they are small; beyond that, and
 for subdistributions (whose input space is infinite), inputs come from a
 seeded deterministic pool built on the weight grid {1/4, 1/3, 1/2, 1}.
+
+Each construction the laws share is built in one place: `_extend` is the
+free extension of a one-step transform along a law (map, push through the
+law, flatten each successor), which `mate_rho2_of_rho4`, the em law's
+multiplication side and the extension square all read; Kleisli extension
+is `monad_bind`; `_tau` is the test map of both pentagons.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from tracekit.kernel import (
     functor_map,
     kappa_moore,
     lambda_generative,
+    monad_bind,
     monad_mu,
     monad_unit,
     omega_bot,
@@ -161,13 +168,15 @@ def t_pool(kind: MonadKind, base: Sequence, rng: random.Random, small: bool = Fa
 def canonical_rho4(kind: MonadKind, alphabet: Universe) -> Callable:
     """One-element transform: a move becomes a single-letter successor table,
     a terminal becomes immediate acceptance with no successors."""
+    alg = canonical_alg(kind)
+
     def rho4(v):
         if isinstance(v, Move):
             fam = {b: (monad_unit(kind, v.target) if b == v.label else _zero(kind))
                    for b in alphabet}
-            return _omega_false(kind), fam
+            return omega_bot(alg), fam
         if isinstance(v, Done):
-            return _omega_true(kind), {b: _zero(kind) for b in alphabet}
+            return omega_top(alg), {b: _zero(kind) for b in alphabet}
         raise KernelError(f"expected Move or Done, got {v!r}")
     return rho4
 
@@ -196,13 +205,18 @@ def mate_rho2_of_rho4(kind: MonadKind, alphabet: Universe, rho4: Callable) -> Ca
     Composing the result with the unit recovers `rho4` exactly.
     """
     alg = canonical_alg(kind)
+    return _extend(kind, lambda tv: kappa_moore(kind, alg, tv, alphabet), rho4, alphabet)
 
-    def rho2(tv: MonadValue):
-        packed = functor_map(kind, lambda v: _pack(rho4(v)), tv)
-        om, fam = kappa_moore(kind, alg, packed, alphabet)
+
+def _extend(kind: MonadKind, kappa: Callable, f: Callable, alphabet: Universe) -> Callable:
+    """The free extension of `f` along `kappa`: map `f` over a branching
+    value, push the packed (output, successors) pairs through `kappa` and
+    flatten each letter's branching successor."""
+    def extended(tv: MonadValue):
+        om, fam = kappa(functor_map(kind, lambda v: _pack(f(v)), tv))
         return om, {a: monad_mu(kind, fam[a]) for a in alphabet}
 
-    return rho2
+    return extended
 
 
 def _pack(pair) -> tuple:
@@ -214,12 +228,9 @@ def _zero(kind: MonadKind) -> MonadValue:
     return pow_value([]) if kind is MonadKind.POW else sub_dist([])
 
 
-def _omega_false(kind: MonadKind):
-    return False if kind is MonadKind.POW else Fraction(0)
-
-
-def _omega_true(kind: MonadKind):
-    return True if kind is MonadKind.POW else Fraction(1)
+def _tau(alg: Modality, tv: MonadValue, points: Sequence) -> FiniteFunc:
+    """The test map: each point's value under the modality of the tests in `tv`."""
+    return FiniteFunc({p: algebra_map(alg, lambda f: f(p), tv) for p in points})
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +270,8 @@ def check_em_law(kind: MonadKind, alg: Modality, alphabet: Universe,
                  kappa_fn: Optional[Callable] = None) -> LawReport:
     """Unit and multiplication compatibility of the (output x successors) law."""
     rng = random.Random(seed)
-
-    def kappa(tv):
-        if kappa_fn is not None:
-            return kappa_fn(tv)
-        return kappa_moore(kind, alg, tv, alphabet)
+    kappa = kappa_fn if kappa_fn is not None else (lambda tv: kappa_moore(kind, alg, tv, alphabet))
+    extended = _extend(kind, kappa, kappa, alphabet)
 
     def cases(X: Universe):
         b_elems = [(om, g) for om in omega_samples(alg)
@@ -275,11 +283,7 @@ def check_em_law(kind: MonadKind, alg: Modality, alphabet: Universe,
         pool1 = t_pool(kind, b_elems, rng)
         pool2 = t_pool(kind, pool1, rng, small=True)
         for V in pool2:
-            lhs = kappa(monad_mu(kind, V))
-            inner = functor_map(kind, lambda v: _pack(kappa(v)), V)
-            om, fam = kappa(inner)
-            rhs = (om, {a: monad_mu(kind, fam[a]) for a in alphabet})
-            yield V, lhs, rhs, "multiplication"
+            yield V, kappa(monad_mu(kind, V)), extended(V), "multiplication"
 
     return _run_check("em_law", carriers, cases)
 
@@ -300,9 +304,7 @@ def check_kl_law(kind: MonadKind, labels: Universe, terminals: Universe,
         pool2 = t_pool(kind, pool1, rng, small=True)
         for v in _a_elements(labels, terminals, pool2):
             lhs = lam(_a_map(lambda tt: monad_mu(kind, tt), v))
-            after_lam_t = lam(v)
-            rhs = monad_mu(kind, functor_map(kind, lam, after_lam_t))
-            yield v, lhs, rhs, "multiplication"
+            yield v, lhs, monad_bind(kind, lam(v), lam), "multiplication"
 
     return _run_check("kl_law", carriers, cases)
 
@@ -312,18 +314,14 @@ def check_extension_square(kind: MonadKind, labels: Universe, terminals: Univers
                            rho2_fn: Optional[Callable] = None) -> LawReport:
     """Flatten-then-extend equals extend-then-push-through-flatten."""
     rng = random.Random(seed)
-    alg = canonical_alg(kind)
     rho2 = rho2_fn if rho2_fn is not None else canonical_rho2(kind, labels)
+    extended = mate_rho2_of_rho4(kind, labels, rho2)
 
     def cases(X: Universe):
         pool1 = t_pool(kind, _a_elements(labels, terminals, list(X)), rng)
         pool2 = t_pool(kind, pool1, rng, small=True)
         for V in pool2:
-            lhs = rho2(monad_mu(kind, V))
-            packed = functor_map(kind, lambda tv: _pack(rho2(tv)), V)
-            om, fam = kappa_moore(kind, alg, packed, labels)
-            rhs = (om, {a: monad_mu(kind, fam[a]) for a in labels})
-            yield V, lhs, rhs, "extension square"
+            yield V, rho2(monad_mu(kind, V)), extended(V), "extension square"
 
     return _run_check("extension_square", carriers, cases)
 
@@ -343,9 +341,7 @@ def check_extension_requirement(kind: MonadKind, labels: Universe, terminals: Un
         for W in outer:
             om, fam = rho2(W)
             lhs = (om, {a: monad_mu(kind, fam[a]) for a in labels})
-            flat = monad_mu(kind, functor_map(kind, lam, W))
-            rhs = rho2(flat)
-            yield W, lhs, rhs, "extension requirement"
+            yield W, lhs, rho2(monad_bind(kind, W, lam)), "extension requirement"
 
     return _run_check("extension_requirement", carriers, cases)
 
@@ -360,9 +356,6 @@ def check_pentagon_em_logic(kind: MonadKind, alg: Modality, alphabet: Universe,
     """
     rng = random.Random(seed)
     kalg = kappa_alg if kappa_alg is not None else alg
-
-    def tau(tv: MonadValue, points: Sequence) -> FiniteFunc:
-        return FiniteFunc({p: algebra_map(alg, lambda f: f(p), tv) for p in points})
 
     def cases(X: Universe):
         points = list(X)
@@ -379,9 +372,9 @@ def check_pentagon_em_logic(kind: MonadKind, alg: Modality, alphabet: Universe,
 
         for S in t_pool(kind, b_elems, rng, small=True):
             om, fam = kappa_moore(kind, kalg, S, alphabet)
-            lhs = delta(om, FiniteFunc({a: tau(fam[a], points) for a in alphabet}))
+            lhs = delta(om, FiniteFunc({a: _tau(alg, fam[a], points) for a in alphabet}))
             mapped = functor_map(kind, lambda p: delta(p[0], p[1]), S)
-            rhs = tau(mapped, l_elems)
+            rhs = _tau(alg, mapped, l_elems)
             yield S, lhs, rhs, "determinise-vs-test pentagon"
 
     return _run_check("pentagon_em_logic", carriers, cases)
@@ -432,15 +425,11 @@ def check_pentagon_kl_logic(kind: MonadKind, labels: Universe, terminals: Univer
         delta = delta_builder(labels, terminals, points, alg)
         l_elems = _a_elements(labels, terminals, points)
         fns = all_finite_funcs(points, omega_samples(alg), rng)
-
-        def tau(tv: MonadValue, pts: Sequence) -> FiniteFunc:
-            return FiniteFunc({p: algebra_map(alg, lambda f: f(p), tv) for p in pts})
-
         for v in _a_elements(labels, terminals, t_pool(kind, fns, rng, small=True)):
             lam_v = lam(v)
             mapped = functor_map(kind, delta, lam_v)
-            lhs = tau(mapped, l_elems)
-            rhs = delta(_a_map(lambda tv: tau(tv, points), v))
+            lhs = _tau(alg, mapped, l_elems)
+            rhs = delta(_a_map(lambda tv: _tau(alg, tv, points), v))
             yield v, lhs, rhs, "branching-vs-logic pentagon"
 
     return _run_check("pentagon_kl_logic", carriers, cases)

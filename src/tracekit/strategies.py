@@ -75,7 +75,7 @@ class IOSystem:
                 for k, targets in sorted(row, key=canon_key):
                     answers = self.signature.answers(k)
                     if len(targets) != len(answers):
-                        raise KernelError(f"transition {k!r} from {x!r} must list "
+                        raise KernelError(f"transitions[{x!r}]: operation {k!r} must list "
                                           f"{len(answers)} continuations")
                     by_answer = moves.setdefault(k, {})
                     for i, y in zip(answers, targets):

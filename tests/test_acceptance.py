@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence():
             for w, expected in table.items():
                 if engine.value(w) != expected:
                     violations.append(("generative", seed, x, w))
-            got = set(traces[x].payload.support)
+            got = set(traces[x].support)
             want = set(oracles.generative_traces(g, x, DEPTH))
             if got != want:
                 violations.append(("generative-traces", seed, x))
@@ -264,8 +264,8 @@ def test_criterion_5_counterexample_reproduction():
         if logic_eval_strange(sr, n)["x"][n] != logic_eval_strange(sr, n)["y"][n]:
             violations.append(("logic differs", n))
     gc = strange_to_generative(sr)
-    tx = kleisli_traces(gc, 6)["x"].payload
-    ty = kleisli_traces(gc, 6)["y"].payload
+    tx = kleisli_traces(gc, 6)["x"]
+    ty = kleisli_traces(gc, 6)["y"]
     if tx != pow_value([((), CHECK)]):
         violations.append(("x traces", tx))
     if ty != pow_value([(("a",) * k, CHECK) for k in range(7)]):

@@ -193,6 +193,12 @@ MALFORMED = [
     ("pa_chain", lambda d: d["outputs"].update(u="0.5"), "outputs['u']: bad rational '0.5'"),
     ("pa_chain", lambda d: d["transitions"]["v"]["a"].update(v=" 1 "),
      "transitions['v']['a']['v']: bad rational ' 1 '"),
+    ("io_self_loop", lambda d: d["transitions"].update(s=[["k", ["s"]]]),
+     "transitions['s']: operation 'k' must list 2 continuations"),
+    ("tree_fc", lambda d: d["signature"].update(f=1),
+     "transitions['x']: arity mismatch at 'f'"),
+    ("alternating", lambda d: d.update(modality="join"),
+     "modality: join does not evaluate doublepow"),
 ]
 
 
@@ -228,7 +234,8 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "tree-symbol-list", "arity-answer-list", "alphabet-string",
                               "duplicate-key", "semantic-word-twice", "semantic-depth-huge",
                               "missing-file", "directory", "not-utf8",
-                              "rational-exponent", "rational-decimal", "rational-padded"])
+                              "rational-exponent", "rational-decimal", "rational-padded",
+                              "io-continuation-count", "tree-arity", "modality-kind"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -301,6 +308,10 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+#: the locations a machine file error may start with: the file's fields, or the whole machine
+_FIELDS = {"machine", "kind"} | {name for kind in cli._KINDS.values() for name, _ in kind.fields}
+
+
 def _mutate(node, data):
     """`node` with one value somewhere inside it replaced, dropped or added."""
     children = list(node) if isinstance(node, dict) else range(len(node)) \
@@ -333,8 +344,9 @@ def test_mutated_fixture_parses_or_fails_with_machine_format_error(data, tmp_pat
     p.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     try:
         parse_machine(str(p))
-    except MachineFormatError:
-        pass
+    except MachineFormatError as e:
+        field = re.match(r"(\w+)(\[|: )", str(e))
+        assert str(e).startswith(f"{p}: ") or field and field[1] in _FIELDS, str(e)
 
 
 def test_semantic_table_is_kept_in_word_order(tmp_path):

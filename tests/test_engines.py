@@ -459,16 +459,15 @@ def test_em_ta_examples():
 def test_kleisli_traces_examples():
     g1 = load("generative_ab")
     ts = kleisli_traces(g1, 2)["p"]
-    assert ts.payload == pow_value([(("a",), CHECK), (("a", "a"), CHECK),
-                                    (("a", "b"), CHECK)])
-    assert kleisli_traces(g1, 0)["q"].payload == pow_value([((), CHECK)])
+    assert ts == pow_value([(("a",), CHECK), (("a", "a"), CHECK), (("a", "b"), CHECK)])
+    assert kleisli_traces(g1, 0)["q"] == pow_value([((), CHECK)])
 
 
 def test_kleisli_traces_subdist_exact():
     gh = load("generative_half")
     ts = kleisli_traces(gh, 1)["p"]
-    assert ts.payload == sub_dist({((), CHECK): F(1, 2), (("a",), CHECK): F(1, 4)})
-    assert ts.retained_mass() == F(3, 4)
+    assert ts == sub_dist({((), CHECK): F(1, 2), (("a",), CHECK): F(1, 4)})
+    assert ts.mass() == F(3, 4)
 
 
 def _trace_weights(mv: MonadValue) -> dict:
@@ -515,8 +514,8 @@ def test_kleisli_traces_long_cycle_matches_the_oracle(monkeypatch):
     traces = kleisli_traces(g, 400)
     assert counts == {"pow_value": 0, "sub_dist": 2}
     for x in g.states:
-        assert len(traces[x].payload.payload) == 401
-        assert _trace_weights(traces[x].payload) == oracles.generative_traces(g, x, 400)
+        assert len(traces[x].payload) == 401
+        assert _trace_weights(traces[x]) == oracles.generative_traces(g, x, 400)
 
 
 def test_kbar_characteristic():
@@ -527,9 +526,7 @@ def test_kbar_characteristic():
 
 
 def test_kbar_empty_trace_set():
-    from tracekit.languages import TruncatedTraceSet
-    ts = TruncatedTraceSet(MonadKind.POW, 2, pow_value([]))
-    lang = kbar(ts, Universe(["a"]), 2)
+    lang = kbar(pow_value([]), Universe(["a"]), 2)
     assert all(v is False for _, v in lang.items())
 
 
@@ -541,10 +538,8 @@ def test_kbar_triangle_with_forward_engine():
 
 
 def test_kbar_rejects_foreign_terminal():
-    from tracekit.languages import TruncatedTraceSet
-    ts = TruncatedTraceSet(MonadKind.POW, 1, pow_value([((), "other")]))
     with pytest.raises(KernelError):
-        kbar(ts, Universe(["a"]), 1)
+        kbar(pow_value([((), "other")]), Universe(["a"]), 1)
 
 
 def test_kbar_is_a_join_morphism():
@@ -552,10 +547,7 @@ def test_kbar_is_a_join_morphism():
     A = g1.labels
     s1 = kleisli_traces(g1, 2)["p"]
     s2 = kleisli_traces(g1, 2)["q"]
-    from tracekit.languages import TruncatedTraceSet
-    union = TruncatedTraceSet(MonadKind.POW, 2,
-                              pow_value(s1.payload.payload + s2.payload.payload))
-    joined = kbar(union, A, 2)
+    joined = kbar(pow_value(s1.payload + s2.payload), A, 2)
     l1, l2 = kbar(s1, A, 2), kbar(s2, A, 2)
     for w in enumerate_words(A, 2):
         assert joined.value(w) == (l1.value(w) or l2.value(w))
@@ -567,10 +559,9 @@ def test_kbar_respects_convex_combination():
     s1 = kleisli_traces(gh, 2)["p"]
     s2 = kleisli_traces(gh, 2)["q"]
     half = F(1, 2)
-    mixed = sub_dist([(t, half * w) for t, w in s1.payload.payload]
-                     + [(t, half * w) for t, w in s2.payload.payload])
-    from tracekit.languages import TruncatedTraceSet
-    l_mixed = kbar(TruncatedTraceSet(MonadKind.SUBDIST, 2, mixed), A, 2)
+    mixed = sub_dist([(t, half * w) for t, w in s1.payload]
+                     + [(t, half * w) for t, w in s2.payload])
+    l_mixed = kbar(mixed, A, 2)
     l1, l2 = kbar(s1, A, 2), kbar(s2, A, 2)
     for w in enumerate_words(A, 2):
         assert l_mixed.value(w) == half * l1.value(w) + half * l2.value(w)
@@ -634,9 +625,9 @@ def test_strange_separation():
     for n in range(7):
         assert logic_eval_strange(sr, n)["x"][n] == logic_eval_strange(sr, n)["y"][n]
     for d in range(1, 7):
-        assert kleisli_traces(gc, d)["x"].payload != kleisli_traces(gc, d)["y"].payload
-    assert kleisli_traces(gc, 6)["x"].payload == pow_value([((), CHECK)])
-    assert kleisli_traces(gc, 6)["y"].payload == pow_value(
+        assert kleisli_traces(gc, d)["x"] != kleisli_traces(gc, d)["y"]
+    assert kleisli_traces(gc, 6)["x"] == pow_value([((), CHECK)])
+    assert kleisli_traces(gc, 6)["y"] == pow_value(
         [(("a",) * k, CHECK) for k in range(7)])
 
 
@@ -716,6 +707,7 @@ def test_kleisli_iterates_follow_the_trace_lengths(kind):
                 for x in g.states:
                     cut = {t: w for t, w in want[x].items() if len(t[0]) <= k - 1}
                     assert _trace_weights(iterate[x]) == cut, (seed, depth, k, x)
+            assert kleisli_traces(g, depth) == kleisli_iterates(g, depth, depth + 1)[-1]
 
 
 def _restrict(mv: MonadValue, m: int) -> MonadValue:
@@ -792,8 +784,8 @@ def test_random_generative_trace_sets_match_the_oracle(kind):
         for depth in range(6):
             traces = kleisli_traces(g, depth)
             for x in g.states:
-                assert traces[x].payload.kind is kind
-                assert _trace_weights(traces[x].payload) == \
+                assert traces[x].kind is kind
+                assert _trace_weights(traces[x]) == \
                     oracles.generative_traces(g, x, depth), (seed, depth, x)
 
 

@@ -558,10 +558,12 @@ def test_cached_key_leaves_value_semantics_unchanged():
               lambda: pow_value([FiniteFunc({"a": pow_value(["x"])})])]
     for make in makers:
         keyed, fresh = make(), make()
-        canon_key(keyed)
+        canon_key(keyed), hash(keyed)  # both cached on `keyed`, neither on `fresh`
         assert canon_key(keyed) is canon_key(keyed)
-        assert keyed == fresh and hash(keyed) == hash(fresh)
         assert repr(keyed) == repr(fresh)
         assert dataclasses.asdict(keyed) == dataclasses.asdict(fresh)
         assert [f.name for f in dataclasses.fields(keyed)] == \
             [f.name for f in dataclasses.fields(fresh)]
+        assert keyed == fresh
+        field_values = tuple(getattr(fresh, f.name) for f in dataclasses.fields(fresh))
+        assert hash(keyed) == hash(fresh) == hash(field_values)

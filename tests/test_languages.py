@@ -13,7 +13,6 @@ from tracekit.languages import (
     SizeGuardError,
     Tree,
     TruncatedLanguage,
-    TruncatedTraceSet,
     enumerate_trees,
     enumerate_words,
     explore_subsets,
@@ -197,9 +196,3 @@ def test_language_equal_shape_mismatch():
     l2 = TruncatedLanguage(A, 1, [False, False])
     with pytest.raises(KernelError):
         language_equal(l1, l2)
-
-
-def test_trace_set_rejects_overlong_traces():
-    from tracekit.kernel import MonadKind, pow_value
-    with pytest.raises(KernelError):
-        TruncatedTraceSet(MonadKind.POW, 1, pow_value([(("a", "a"), "✓")]))

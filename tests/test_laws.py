@@ -115,6 +115,15 @@ def test_em_law_mutation_drop_first_component():
         assert corrupted(monad_unit(MonadKind.POW, cx.input)) == cx.lhs
 
 
+def test_em_law_judges_the_injected_law_on_both_sides():
+    # the meet law is a lawful em law; its extension built from the join law
+    # would not match it
+    def meet(tv):
+        return kappa_moore(MonadKind.POW, Modality.MEET, tv, A2)
+
+    assert check_em_law(MonadKind.POW, Modality.JOIN, A2, CARRIERS, kappa_fn=meet).holds
+
+
 def _lambda_dropping_done(v):
     if isinstance(v, Done):
         return pow_value([])
