@@ -39,6 +39,7 @@ from tracekit.engines import (
 from tracekit.kernel import (
     CHECK,
     STAR,
+    AlgebraMismatchError,
     Done,
     KernelError,
     MassError,
@@ -48,6 +49,7 @@ from tracekit.kernel import (
     Move,
     Universe,
     canon_key,
+    check_output,
     double_pow,
     pow_value,
     sub_dist,
@@ -126,14 +128,13 @@ def show_value(v) -> Any:
 
 
 def parse_output(v, modality: Modality, where: str):
+    """An output as `check_output` accepts it, an expectation's read as a rational."""
     if modality is Modality.EXPECT:
-        p = parse_rational(v, where)
-        if not 0 <= p <= 1:
-            raise MachineFormatError(f"{where}: output {p} outside [0, 1]")
-        return p
-    if not isinstance(v, bool):
-        raise MachineFormatError(f"{where}: expected true/false, got {v!r}")
-    return v
+        v = parse_rational(v, where)
+    try:
+        return check_output(modality, v, where)
+    except AlgebraMismatchError as e:
+        raise MachineFormatError(str(e)) from None
 
 
 class _DuplicateKeys(dict):
@@ -671,8 +672,10 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
 
 
 def _cmd_compare(options) -> dict:
-    machine = _load(options)
-    depth = _require_depth(options)
+    return _compare_report(_load(options), _require_depth(options))
+
+
+def _compare_report(machine, depth: int) -> dict:
     rep = compare_semantics(machine, depth)
     out = {
         "machine_kind": rep.machine_kind,
@@ -690,9 +693,9 @@ def _cmd_compare(options) -> dict:
         alphabet = machine.labels if isinstance(machine, GenerativeCoalgebra) else machine.alphabet
         words = [list(w) for w in enumerate_words(alphabet, depth)]
         out["languages"] = {
-            engine: [{"state": x, "language": show_language(rep.languages[engine][x], words)}
-                     for x in sorted(rep.languages[engine], key=canon_key)]
-            for engine in rep.engines if engine in rep.languages
+            engine: [{"state": x, "language": show_language(langs[x], words)}
+                     for x in sorted(langs, key=canon_key)]
+            for engine, langs in rep.languages.items()
         }
     else:
         out["logic_by_steps"] = {x: list(rep.languages["logic"][x])
@@ -700,8 +703,9 @@ def _cmd_compare(options) -> dict:
     if rep.trace_sets:
         out["trace_sets"] = [{"state": x, "traces": show_trace_set(rep.trace_sets[x])}
                              for x in sorted(rep.trace_sets, key=canon_key)]
-    if rep.retained_mass:
-        out["retained_mass"] = {x: show_value(m) for x, m in rep.retained_mass.items()}
+    retained = rep.retained_mass
+    if retained:
+        out["retained_mass"] = {x: show_value(m) for x, m in retained.items()}
     if rep.collapse_injective is not None:
         out["trace_collapse_injective"] = rep.collapse_injective
         out["collapse_witnesses"] = [list(p) for p in rep.collapse_witnesses]
@@ -773,16 +777,11 @@ def strange_pair() -> StrangeCoalgebra:
 def _cmd_counterexample(options) -> dict:
     depth = 6 if options.get("depth") is None else _require_depth(options)
     machine = strange_pair()
-    rep = compare_semantics(machine, depth)
-    return {
-        "depth": depth,
-        "machine": serialize_machine(machine),
-        "logic_by_steps": {x: list(rep.languages["logic"][x]) for x in machine.states},
-        "trace_sets": [{"state": x, "traces": show_trace_set(rep.trace_sets[x])}
-                       for x in machine.states],
-        "logically_equal_trace_distinct_pairs": [list(p) for p in rep.collapse_witnesses],
-        "trace_collapse_injective": rep.collapse_injective,
-    }
+    rep = _compare_report(machine, depth)
+    return {"depth": depth, "machine": serialize_machine(machine),
+            "logic_by_steps": rep["logic_by_steps"], "trace_sets": rep["trace_sets"],
+            "logically_equal_trace_distinct_pairs": rep["collapse_witnesses"],
+            "trace_collapse_injective": rep["trace_collapse_injective"]}
 
 
 def _cmd_determinise(options) -> dict:

@@ -43,9 +43,17 @@ Tree and strange machines have their own logical evaluators
 at once, bottom-up one step count at a time).  Whole-machine results are
 `{state: value}` maps.  The engines produce exactly equal truncated
 languages on the machine classes where the connecting laws hold;
-`compare_semantics` materialises that check.  `determinise_bt` builds the
-subset machine of a powerset Moore machine with `languages.explore_subsets`,
-the one subset exploration that `strategies.determinise_io` also runs.
+`compare_semantics` materialises that check along one path for Moore and
+generative machines: one step view, each engine run once on it, every pair
+of engines compared on every state.  Its report derives the summary (all
+equal, retained mass, injectivity of the trace collapse) from the verdicts,
+the trace values and one witness rule.  `determinise_bt` builds the subset
+machine of a powerset Moore machine with `languages.explore_subsets`, the
+one subset exploration that `strategies.determinise_io` also runs.
+
+A machine's modality is checked against the kernel's `MODALITY_KIND`, and
+every output by the kernel's `check_output`; a generative machine's
+modality is its monad's own, `canonical_alg`.
 
 `L` and `D` are the step view's common denominators (see `StepView`): every
 transition weight is an integer over `L`, every output and semantic-table
@@ -58,12 +66,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import lcm
 from operator import mul, or_
 from typing import Optional
 
 from tracekit.kernel import (
     CHECK,
+    MODALITY_KIND,
     STAR,
     AlgebraMismatchError,
     Done,
@@ -75,6 +85,8 @@ from tracekit.kernel import (
     Universe,
     algebra_eval,
     algebra_map,
+    canonical_alg,
+    check_output,
     monad_bind,
     monad_unit,
     omega_bot,
@@ -83,6 +95,8 @@ from tracekit.kernel import (
     sub_dist,
 )
 from tracekit.languages import (
+    DEFAULT_GUARD,
+    SizeGuardError,
     Tree,
     TruncatedLanguage,
     count_words,
@@ -94,31 +108,10 @@ from tracekit.languages import (
 )
 from tracekit.laws import canonical_rho2
 
-#: kind/modality pairs a machine may declare
-_ALLOWED = {
-    (MonadKind.POW, Modality.JOIN),
-    (MonadKind.POW, Modality.MEET),
-    (MonadKind.SUBDIST, Modality.EXPECT),
-    (MonadKind.DOUBLE_POW, Modality.JOIN_MEET),
-}
-
 
 def _check_modality(m) -> None:
-    if (m.kind, m.alg) not in _ALLOWED:
+    if MODALITY_KIND[m.alg] is not m.kind:
         raise AlgebraMismatchError(f"modality: {m.alg.value} does not evaluate {m.kind.value}")
-
-
-def _check_output(alg: Modality, value, where: str):
-    if alg is Modality.EXPECT:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise KernelError(f"{where}: output {value!r} is not a rational")
-        value = Fraction(value)
-        if not 0 <= value <= 1:
-            raise KernelError(f"{where}: output {value} outside [0, 1]")
-        return value
-    if not isinstance(value, bool):
-        raise KernelError(f"{where}: output {value!r} is not a boolean")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,7 @@ class MooreCoalgebra:
         for x in self.states:
             if x not in self.out:
                 raise KernelError(f"missing output for state {x!r}")
-            out[x] = _check_output(self.alg, self.out[x], f"out[{x!r}]")
+            out[x] = check_output(self.alg, self.out[x], f"out[{x!r}]")
             row = self.trans.get(x)
             if row is None:
                 raise KernelError(f"missing transitions for state {x!r}")
@@ -199,7 +192,7 @@ class GenerativeCoalgebra:
 
     @property
     def alg(self) -> Modality:
-        return Modality.JOIN if self.kind is MonadKind.POW else Modality.EXPECT
+        return canonical_alg(self.kind)
 
 
 @dataclass
@@ -220,7 +213,7 @@ class TreeCoalgebra:
                 raise KernelError(f"missing behaviour for state {x!r}")
             if mv.kind is not self.kind:
                 raise KernelError(f"behaviour of {x!r} has kind {mv.kind.value}")
-            for u in _base_states(mv) if self.kind is MonadKind.DOUBLE_POW else mv.support:
+            for u in _base_states(mv):
                 sym, kids = u
                 if sym not in self.signature:
                     raise KernelError(f"undeclared symbol {sym!r}")
@@ -268,10 +261,10 @@ class GeneralizedCoalgebra:
                 if body.alphabet != self.alphabet:
                     raise KernelError(f"semantic state {x!r} uses a different alphabet")
                 for w, value in body.items():
-                    _check_output(self.alg, value, f"semantic state {x!r} at {w!r}")
+                    check_output(self.alg, value, f"semantic state {x!r} at {w!r}")
             elif tag == "node":
                 om, fam = body
-                _check_output(self.alg, om, f"out[{x!r}]")
+                check_output(self.alg, om, f"out[{x!r}]")
                 _check_row(self, x, fam)
             else:
                 raise KernelError(f"behaviour of {x!r} tagged {tag!r}")
@@ -758,9 +751,11 @@ def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:
     that can stop within n steps but not within n - 1 are those not found
     yet with a successor found at step n - 1.  A state found at step k can
     stop within n steps exactly for n >= k.  Within the word budget of
-    `enumerate_words` over one letter, checked before any table is built.
+    `enumerate_words` over one letter, checked before any table is built;
+    the letter budget does not apply, since no word is built.
     """
-    count_words(1, depth)
+    if depth >= DEFAULT_GUARD:
+        raise SizeGuardError(f"more than {DEFAULT_GUARD} words up to length {depth}")
     preds: dict = {x: [] for x in sc.states}
     for x in sc.states:
         for z in sc.c[x].elements:
@@ -781,12 +776,12 @@ def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:
             for x in sc.states}
 
 
-def strange_to_generative(sc: StrangeCoalgebra, label: str = "a") -> GenerativeCoalgebra:
-    """Embed over a one-letter alphabet: successors emit the letter, STAR terminates."""
-    c = {x: pow_value([Done(CHECK) if u == STAR else Move(label, u)
+def strange_to_generative(sc: StrangeCoalgebra) -> GenerativeCoalgebra:
+    """Embed over the one-letter alphabet `a`: successors emit `a`, STAR terminates."""
+    c = {x: pow_value([Done(CHECK) if u == STAR else Move("a", u)
                        for u in sc.c[x].elements])
          for x in sc.states}
-    return GenerativeCoalgebra(sc.states, Universe([label]), MonadKind.POW, c)
+    return GenerativeCoalgebra(sc.states, Universe(["a"]), MonadKind.POW, c)
 
 
 # ---------------------------------------------------------------------------
@@ -804,102 +799,76 @@ class PairVerdict:
 
 @dataclass
 class SemanticsReport:
+    """What `compare_semantics` ran and found.  The summary fields are read
+    off the verdicts, the trace values and the witnesses."""
+
     machine_kind: str
     depth: int
     engines: list[str]
     languages: dict  # engine -> state -> TruncatedLanguage (or {state: values})
     verdicts: list[PairVerdict]
-    all_equal: bool
     trace_sets: dict = field(default_factory=dict)  # state -> MonadValue over traces
-    retained_mass: dict = field(default_factory=dict)  # state -> Fraction
     collapse_witnesses: list = field(default_factory=list)  # (x, y) equal-language, distinct-trace pairs
-    collapse_injective: Optional[bool] = None
 
+    @property
+    def all_equal(self) -> bool:
+        return all(v.equal for v in self.verdicts)
 
-def _pairwise(engines: list[str], langs: dict, states) -> list[PairVerdict]:
-    verdicts = []
-    for i, ea in enumerate(engines):
-        for eb in engines[i + 1:]:
-            for x in states:
-                eq, word = language_equal(langs[ea][x], langs[eb][x])
-                verdicts.append(PairVerdict(ea, eb, x, eq, word))
-    return verdicts
+    @property
+    def retained_mass(self) -> dict:
+        """Each state's trace mass, on a subdistribution machine."""
+        return {x: ts.mass() for x, ts in self.trace_sets.items() if ts.kind is MonadKind.SUBDIST}
+
+    @property
+    def collapse_injective(self) -> Optional[bool]:
+        """Whether no two states have equal languages but distinct trace
+        values; `None` on a Moore machine, which has no traces."""
+        return None if self.machine_kind == "moore" else not self.collapse_witnesses
 
 
 def compare_semantics(machine, depth: int) -> SemanticsReport:
     """Run every engine that applies to the machine and compare the results.
 
-    Moore machines run the forward and logical engines.  Generative machines
-    run forward, logical and the trace-set engine collapsed to a language;
-    their report also says whether the collapse is injective on this machine
-    (states with equal languages but different trace sets witness that it
-    is not).  Strange machines compare the stop-logic against trace sets.
+    Moore and generative machines are read through one step view, which the
+    forward engine (not on double powerset) and the logical engine run on; a
+    generative machine also runs the trace-set engine, collapsed to a
+    language by `kbar`.  Every pair of engines is compared on every state.
+    Strange machines compare, for every pair of states, whether the
+    stop-logic and the trace sets tell them apart alike.  On generative and
+    strange machines, states with equal languages but distinct trace values
+    witness that the collapse from traces to languages is not injective.
     """
-    if isinstance(machine, MooreCoalgebra):
+    traces: dict = {}
+    if isinstance(machine, StrangeCoalgebra):
+        kind, engines = "strange", ["logic", "kleisli"]
+        logic = logic_eval_strange(machine, depth)
+        langs = {"logic": logic}
+        traces = kleisli_traces(strange_to_generative(machine), depth)
+        verdicts = [PairVerdict("logic", "kleisli", (x, y),
+                                (logic[x] == logic[y]) == (traces[x] == traces[y]), None)
+                    for x, y in combinations(machine.states, 2)]
+    elif isinstance(machine, (MooreCoalgebra, GenerativeCoalgebra)):
+        generative = isinstance(machine, GenerativeCoalgebra)
+        kind = "generative" if generative else "moore"
+        if generative:
+            if len(machine.terminals) != 1:
+                raise KernelError("language comparison needs a single terminal")
+            traces = kleisli_traces(machine, depth)
         view = step_view(machine)
         langs = {}
-        if machine.kind is not MonadKind.DOUBLE_POW:
+        if view.kind is not MonadKind.DOUBLE_POW:
             langs["em"] = em_language(view, depth)
         langs["logic"] = logic_language(view, depth)
-        verdicts = _pairwise(list(langs), langs, machine.states)
-        return SemanticsReport("moore", depth, list(langs), langs, verdicts,
-                               all(v.equal for v in verdicts))
-
-    if isinstance(machine, GenerativeCoalgebra):
-        if len(machine.terminals) != 1:
-            raise KernelError("language comparison needs a single terminal")
-        terminal = machine.terminals.elements[0]
-        traces = kleisli_traces(machine, depth)
-        view = step_view(machine)
-        langs = {
-            "em": em_language(view, depth),
-            "logic": logic_language(view, depth),
-            "kleisli": {x: kbar(traces[x], machine.labels, depth, terminal)
-                        for x in machine.states},
-        }
-        verdicts = _pairwise(["em", "logic", "kleisli"], langs, machine.states)
-        retained = {}
-        if machine.kind is MonadKind.SUBDIST:
-            retained = {x: traces[x].mass() for x in machine.states}
-        witnesses = _collapse_witnesses(machine.states, langs["em"], traces)
-        return SemanticsReport("generative", depth, ["em", "logic", "kleisli"], langs,
-                               verdicts, all(v.equal for v in verdicts),
-                               trace_sets=traces, retained_mass=retained,
-                               collapse_witnesses=witnesses,
-                               collapse_injective=not witnesses)
-
-    if isinstance(machine, StrangeCoalgebra):
-        gc = strange_to_generative(machine)
-        logic_tables = logic_eval_strange(machine, depth)
-        traces = kleisli_traces(gc, depth)
-        witnesses = []
-        verdicts = []
-        states = list(machine.states)
-        for i, x in enumerate(states):
-            for y in states[i + 1:]:
-                log_eq = logic_tables[x] == logic_tables[y]
-                kl_eq = traces[x] == traces[y]
-                if log_eq and not kl_eq:
-                    witnesses.append((x, y))
-                verdicts.append(PairVerdict("logic", "kleisli", (x, y), log_eq == kl_eq,
-                                            None))
-        return SemanticsReport("strange", depth, ["logic", "kleisli"],
-                               {"logic": logic_tables}, verdicts,
-                               all(v.equal for v in verdicts),
-                               trace_sets=traces,
-                               collapse_witnesses=witnesses,
-                               collapse_injective=not witnesses)
-
-    raise KernelError(f"cannot compare semantics of {type(machine).__name__}")
-
-
-def _collapse_witnesses(states: Universe, langs: dict, traces: dict) -> list:
-    """State pairs with equal languages but different trace sets."""
-    out = []
-    elems = list(states)
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            eq, _ = language_equal(langs[x], langs[y])
-            if eq and traces[x] != traces[y]:
-                out.append((x, y))
-    return out
+        if generative:
+            terminal = machine.terminals.elements[0]
+            langs["kleisli"] = {x: kbar(traces[x], view.alphabet, depth, terminal)
+                                for x in machine.states}
+        engines = list(langs)
+        verdicts = [PairVerdict(ea, eb, x, *language_equal(langs[ea][x], langs[eb][x]))
+                    for ea, eb in combinations(engines, 2) for x in machine.states]
+    else:
+        raise KernelError(f"cannot compare semantics of {type(machine).__name__}")
+    # the traces are keyed by the states in order; a Moore machine has none
+    witnesses = [(x, y) for x, y in combinations(traces, 2)
+                 if langs["logic"][x] == langs["logic"][y] and traces[x] != traces[y]]
+    return SemanticsReport(kind, depth, engines, langs, verdicts, traces, witnesses)

@@ -13,6 +13,11 @@ equals `algebra_eval(alg, functor_map(kind, f, v))` but applies `f` and the
 modality in one pass over `v`, building no mapped value.  `MonadValue` and
 `FiniteFunc` compute their canonical key and their hash once and keep them,
 so merging nested values does not rehash their contents.
+
+A modality is defined here and nowhere else: `MODALITY_KIND` says which
+branching kind it evaluates, `check_output` what counts as one of its
+outputs (the one output check of the machine constructors, the file parser
+and `algebra_map`), and `canonical_alg` which modality is a monad's own.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class FunctorOnlyError(KernelError):
 
 
 class AlgebraMismatchError(KernelError):
-    """A modality was applied to a value of the wrong branching kind."""
+    """A modality met a branching kind or an output it does not evaluate."""
 
 
 class MassError(KernelError):
@@ -377,23 +382,28 @@ def algebra_map(alg: Modality, f: Callable[[Any], Any], v: MonadValue):
     Applies `f` to every element, in payload order and without stopping
     early, and collapses the outputs without building the mapped value.  The
     checks are those of the two-step form: `v`'s kind must be the one the
-    modality evaluates, and every output a boolean (join, meet, join-meet)
-    or a rational in [0, 1] (expectation).  Expectation sums output times
-    weight over elements, which equals summing over merged outputs.
+    modality evaluates, and every output one `check_output` accepts.
+    Expectation sums output times weight over elements, which equals summing
+    over merged outputs.
     """
     if v.kind is not MODALITY_KIND[alg]:
         raise AlgebraMismatchError(f"{alg.value} cannot evaluate a {v.kind.value} value")
     if alg is Modality.EXPECT:
         total = Fraction(0)
         for x, w in v.payload:
-            total += _check_unit_interval(f(x)) * w
+            total += check_output(alg, f(x), alg.value) * w
         return total
     if alg is Modality.JOIN_MEET:
         outs = [[f(x) for x in s] for s in v.payload]
-        _check_bools(b for s in outs for b in s)
+        for s in outs:
+            for b in s:
+                if type(b) is not bool:
+                    check_output(alg, b, alg.value)
         return any(all(s) for s in outs)
     outs = [f(x) for x in v.payload]
-    _check_bools(outs)
+    for b in outs:
+        if type(b) is not bool:
+            check_output(alg, b, alg.value)
     return any(outs) if alg is Modality.JOIN else all(outs)
 
 
@@ -401,20 +411,31 @@ def _identity(x):
     return x
 
 
-def _check_bools(values) -> None:
-    for b in values:
-        if not isinstance(b, bool):
-            raise AlgebraMismatchError(f"expected a boolean output, got {b!r}")
+def check_output(alg: Modality, value, where: str):
+    """`value` as an output of `alg`, or `AlgebraMismatchError` naming
+    `where`: a boolean for join, meet and join-meet, a rational in [0, 1]
+    (returned as a `Fraction`) for expectation."""
+    if alg is not Modality.EXPECT:
+        if type(value) is not bool:
+            raise AlgebraMismatchError(f"{where}: output {value!r} is not a boolean")
+        return value
+    if type(value) is not Fraction:
+        if type(value) is bool or not isinstance(value, (int, Fraction)):
+            raise AlgebraMismatchError(f"{where}: output {value!r} is not a rational")
+        value = Fraction(value)
+    if not 0 <= value <= 1:
+        raise AlgebraMismatchError(f"{where}: output {value} outside [0, 1]")
+    return value
 
 
-def _check_unit_interval(p) -> Fraction:
-    if type(p) is not Fraction:
-        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-            raise AlgebraMismatchError(f"expected a rational output, got {p!r}")
-        p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise AlgebraMismatchError(f"output {p} outside [0, 1]")
-    return p
+def canonical_alg(kind: MonadKind) -> Modality:
+    """The modality that is the monad's own: join on sets, expectation on
+    subdistributions."""
+    if kind is MonadKind.POW:
+        return Modality.JOIN
+    if kind is MonadKind.SUBDIST:
+        return Modality.EXPECT
+    raise KernelError("double powerset has no canonical branching modality")
 
 
 def omega_bot(alg: Modality):

@@ -24,6 +24,11 @@ from tracekit.kernel import KernelError, Universe, canon_key
 
 #: Hard ceiling on enumerated objects, shared by words and trees.
 DEFAULT_GUARD = 20_000
+#: Hard ceiling on the letters of the words up to a depth, summed over the
+#: words.  Within `DEFAULT_GUARD` words an alphabet of two or more letters
+#: reaches at most 196,610 letters (two letters at depth 13), so only a
+#: one-letter alphabet meets this ceiling: after depth 631.
+LETTER_GUARD = 200_000
 
 
 class SizeGuardError(KernelError):
@@ -42,14 +47,20 @@ Word = tuple  # a word is a tuple of letters
 
 def count_words(letters: int, depth: int, guard: int = DEFAULT_GUARD) -> int:
     """The number of words of length <= depth over `letters` letters,
-    counted without building them; `SizeGuardError` when it exceeds `guard`."""
+    counted without building them; `SizeGuardError` when it exceeds `guard`,
+    or when their letters, summed, exceed `LETTER_GUARD`.  Each length is
+    checked in turn, its words before its letters."""
     if depth < 0:
         raise KernelError("depth must be >= 0")
-    count, level = 0, 1  # words up to some length, words of that length
-    for _ in range(depth + 1):
+    count, level, total = 0, 1, 0  # words up to some length, words of that length, letters
+    for length in range(depth + 1):
         count += level
         if count > guard:
             raise SizeGuardError(f"more than {guard} words up to length {depth}")
+        total += level * length
+        if total > LETTER_GUARD:
+            raise SizeGuardError(f"more than {LETTER_GUARD} letters in the words up to length "
+                                 f"{depth} (limits: {guard} words, {LETTER_GUARD} letters)")
         level *= letters
         if not level:
             break
@@ -132,12 +143,6 @@ class Tree:
 
     def _canon_key_(self):
         return (12, canon_key(self.symbol), canon_key(self.children))
-
-    @property
-    def height(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(c.height for c in self.children)
 
     def __repr__(self):
         if not self.children:

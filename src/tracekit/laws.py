@@ -11,7 +11,8 @@ Each construction the laws share is built in one place: `_extend` is the
 free extension of a one-step transform along a law (map, push through the
 law, flatten each successor), which `mate_rho2_of_rho4`, the em law's
 multiplication side and the extension square all read; Kleisli extension
-is `monad_bind`; `_tau` is the test map of both pentagons.
+is `monad_bind`; `_tau` is the test map of both pentagons.  The modality
+a law reads on a monad of its own is the kernel's `canonical_alg`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from tracekit.kernel import (
     Universe,
     algebra_map,
     canon_key,
+    canonical_alg,
     functor_map,
     kappa_moore,
     lambda_generative,
@@ -73,14 +75,6 @@ class LawReport:
             raise KernelError("holds must be true exactly when no counterexample exists")
 
 
-def canonical_alg(kind: MonadKind) -> Modality:
-    if kind is MonadKind.POW:
-        return Modality.JOIN
-    if kind is MonadKind.SUBDIST:
-        return Modality.EXPECT
-    raise KernelError("double powerset has no canonical branching modality")
-
-
 # ---------------------------------------------------------------------------
 # input pools
 
@@ -106,11 +100,12 @@ def all_finite_funcs(domain: Sequence, codomain: Sequence, rng: Optional[random.
 
 
 def pow_pool(base: Sequence, rng: random.Random, exhaustive_limit: int = 8,
-             pair_cap: int = 120, extras: int = 20, max_extra_size: int = 4) -> list[MonadValue]:
+             pair_cap: int = 120, extras: int = 20) -> list[MonadValue]:
     """Deterministic pool of powerset values over `base`.
 
     Exhaustive when 2^|base| is small; otherwise the empty set, all
-    singletons, a seeded spread of pairs and a few larger random subsets.
+    singletons, a seeded spread of pairs and a few random subsets of three
+    or four elements.
     """
     base = sorted(base, key=canon_key)
     if len(base) <= exhaustive_limit:
@@ -125,7 +120,7 @@ def pow_pool(base: Sequence, rng: random.Random, exhaustive_limit: int = 8,
         pairs = rng.sample(pairs, pair_cap)
     out.extend(pow_value(p) for p in pairs)
     for _ in range(extras):
-        size = rng.randint(3, max(3, max_extra_size))
+        size = rng.randint(3, 4)
         out.append(pow_value(rng.sample(base, min(size, len(base)))))
     return out
 

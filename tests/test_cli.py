@@ -199,6 +199,10 @@ MALFORMED = [
      "transitions['x']: arity mismatch at 'f'"),
     ("alternating", lambda d: d.update(modality="join"),
      "modality: join does not evaluate doublepow"),
+    ("nda_exists", lambda d: d["outputs"].update(q0=1),
+     "outputs['q0']: output 1 is not a boolean"),
+    ("pa_chain", lambda d: d["outputs"].update(u="3/2"),
+     "outputs['u']: output 3/2 outside [0, 1]"),
 ]
 
 
@@ -235,7 +239,8 @@ def _expect_lookup(doc: dict, value: str) -> None:
                               "duplicate-key", "semantic-word-twice", "semantic-depth-huge",
                               "missing-file", "directory", "not-utf8",
                               "rational-exponent", "rational-decimal", "rational-padded",
-                              "io-continuation-count", "tree-arity", "modality-kind"])
+                              "io-continuation-count", "tree-arity", "modality-kind",
+                              "moore-output-number", "expect-output-above-one"])
 def test_malformed_file_names_the_field(fixture, edit, location, tmp_path, capsys):
     doc = json.loads(open(f"{FIXTURES}/{fixture}.json").read())
     doc = edit(doc) or doc
@@ -694,6 +699,20 @@ def test_depth_beyond_the_size_guard_fails_fast(capsys):
 def test_engines_without_word_tables_guard_their_depth(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: more than 20000 words")
+
+
+def test_one_letter_words_stop_at_the_letter_budget(tmp_path, capsys):
+    # the words up to length d over one letter hold d * (d + 1) / 2 letters:
+    # 199,396 at depth 631, 200,028 at depth 632
+    path = _write_machine(tmp_path / "loop.json", {
+        "format": 1, "kind": "moore", "monad": "pow", "modality": "join", "states": ["s"],
+        "alphabet": ["a"], "outputs": {"s": True}, "transitions": {"s": {"a": ["s"]}}})
+    assert main(["semantics", path, "--depth", "631"]) == 0
+    words = json.loads(capsys.readouterr().out)["results"][0]["language"]
+    assert len(words) == 632 and words[-1] == [["a"] * 631, True]
+    assert main(["semantics", path, "--depth", "632"]) == 2
+    assert capsys.readouterr().err == ("error: more than 200000 letters in the words up to "
+                                       "length 632 (limits: 20000 words, 200000 letters)\n")
 
 
 def _write_machine(path: Path, machine: dict) -> str:

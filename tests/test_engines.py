@@ -723,6 +723,7 @@ def _restrict(mv: MonadValue, m: int) -> MonadValue:
 def test_compare_moore_all_equal():
     rep = compare_semantics(load("nda_exists"), 3)
     assert rep.all_equal and set(rep.engines) == {"em", "logic"}
+    assert rep.collapse_injective is None and rep.retained_mass == {}
 
 
 def test_compare_generative_all_equal():
@@ -743,6 +744,55 @@ def test_compare_strange_flags_collapse():
     assert not rep.all_equal
     assert rep.collapse_witnesses == [("x", "y")]
     assert rep.collapse_injective is False
+
+
+def _brute_force_witnesses(states, language, traces) -> list:
+    """State pairs, in order, with equal oracle languages and distinct
+    oracle trace sets."""
+    states = list(states)
+    return [(x, y) for i, x in enumerate(states) for y in states[i + 1:]
+            if language(x) == language(y) and traces(x) != traces(y)]
+
+
+def test_compare_generative_summary_matches_the_oracles():
+    depth = 3
+    equal_pairs = 0
+    for kind in (MonadKind.POW, MonadKind.SUBDIST):
+        for seed in range(25):
+            g = gen.random_generative(seed, kind)
+            rep = compare_semantics(g, depth)
+            assert [(v.engine_a, v.engine_b, v.state) for v in rep.verdicts] == \
+                [(a, b, x) for a, b in [("em", "logic"), ("em", "kleisli"), ("logic", "kleisli")]
+                 for x in g.states]
+            assert rep.all_equal
+            language = lambda x: oracles.generative_language_by_paths(g, x, depth)
+            traces = lambda x: oracles.generative_traces(g, x, depth)
+            assert rep.collapse_witnesses == _brute_force_witnesses(g.states, language, traces)
+            assert rep.collapse_injective is (not rep.collapse_witnesses)
+            equal_pairs += sum(language(x) == language(y)
+                               for i, x in enumerate(g.states) for y in list(g.states)[i + 1:])
+            if kind is MonadKind.SUBDIST:
+                assert rep.retained_mass == {x: sum(traces(x).values(), F(0)) for x in g.states}
+                assert rep.retained_mass == {x: rep.trace_sets[x].mass() for x in g.states}
+            else:
+                assert rep.retained_mass == {}
+    assert equal_pairs  # some pairs put the distinct-traces condition to the test
+
+
+def test_compare_strange_summary_matches_the_oracles():
+    depth = 4
+    witnessed = 0
+    for seed in range(25):
+        sc = gen.random_strange(seed)
+        gc = strange_to_generative(sc)
+        rep = compare_semantics(sc, depth)
+        language = lambda x: [oracles.strange_reachable_stop(sc, x, n) for n in range(depth + 1)]
+        traces = lambda x: oracles.generative_traces(gc, x, depth)
+        witnesses = _brute_force_witnesses(sc.states, language, traces)
+        assert rep.collapse_witnesses == witnesses
+        assert rep.collapse_injective is (not witnesses) and rep.retained_mass == {}
+        witnessed += len(witnesses)
+    assert witnessed
 
 
 # ---------------------------------------------------------------------------

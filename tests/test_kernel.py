@@ -26,6 +26,7 @@ from tracekit.kernel import (
     algebra_eval,
     algebra_map,
     canon_key,
+    check_output,
     double_pow,
     functor_map,
     kappa_moore,
@@ -137,6 +138,36 @@ def test_algebra_joinmeet():
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatchError):
         algebra_eval(Modality.EXPECT, pow_value([True]))
+
+
+_BOOLEAN_MODALITIES = (Modality.JOIN, Modality.MEET, Modality.JOIN_MEET)
+
+
+@pytest.mark.parametrize("alg, value, accepted", [
+    *((alg, v, v) for alg in _BOOLEAN_MODALITIES for v in (False, True)),
+    *((alg, v, "is not a boolean") for alg in _BOOLEAN_MODALITIES
+      for v in (0, 1, F(1), "true", None)),
+    (Modality.EXPECT, 0, F(0)), (Modality.EXPECT, 1, F(1)), (Modality.EXPECT, F(0), F(0)),
+    (Modality.EXPECT, F(1, 3), F(1, 3)), (Modality.EXPECT, F(1), F(1)),
+    (Modality.EXPECT, -1, "output -1 outside [0, 1]"),
+    (Modality.EXPECT, 2, "output 2 outside [0, 1]"),
+    (Modality.EXPECT, F(-1, 4), "output -1/4 outside [0, 1]"),
+    (Modality.EXPECT, F(5, 4), "output 5/4 outside [0, 1]"),
+    (Modality.EXPECT, True, "output True is not a rational"),
+    (Modality.EXPECT, False, "output False is not a rational"),
+    (Modality.EXPECT, "1/2", "output '1/2' is not a rational"),
+    (Modality.EXPECT, 0.5, "output 0.5 is not a rational"),
+])
+def test_check_output_accepts_exactly_the_modality_outputs(alg, value, accepted):
+    if isinstance(accepted, str):
+        message = accepted if accepted.startswith("output") \
+            else f"output {value!r} {accepted}"
+        with pytest.raises(AlgebraMismatchError) as err:
+            check_output(alg, value, "here")
+        assert str(err.value) == f"here: {message}"
+    else:
+        out = check_output(alg, value, "here")
+        assert out == accepted and type(out) is type(accepted)
 
 
 # ---------------------------------------------------------------------------

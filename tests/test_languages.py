@@ -46,7 +46,11 @@ def test_enumerate_words_guard():
 
 
 def test_enumerate_words_guard_stops_counting_at_the_guard():
-    assert len(enumerate_words(Universe(["a"]), 19_999)) == 20_000
+    # 1 + 19,999 words, exactly the word guard, of 19,999 letters in all
+    assert len(enumerate_words(Universe([f"a{i}" for i in range(19_999)]), 1)) == 20_000
+    # 20,000 words over one letter hold 19,999 * 20,000 / 2 letters
+    with pytest.raises(SizeGuardError, match="more than 200000 letters"):
+        enumerate_words(Universe(["a"]), 19_999)
     with pytest.raises(SizeGuardError, match="more than 20000 words"):
         enumerate_words(Universe(["a", "b"]), 10**9)
     assert enumerate_words(Universe([]), 10**9) == [()]
