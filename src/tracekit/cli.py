@@ -661,7 +661,7 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
         trees = enumerate_trees(machine.signature, max(depth, 1))
         shown = [repr(t) for t in trees]
-        return {x: {"tree_language": [[name, logic_eval_tree(machine, x, t)]
+        return {x: {"tree_language": [[name, show_value(logic_eval_tree(machine, x, t))]
                                       for name, t in zip(shown, trees)]}
                 for x in states}
     if isinstance(machine, StrangeCoalgebra) and engine == "logic":

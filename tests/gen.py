@@ -14,6 +14,7 @@ from tracekit.engines import (
 )
 from tracekit.kernel import (
     CHECK,
+    MODALITY_KIND,
     STAR,
     Done,
     Modality,
@@ -106,8 +107,14 @@ def random_generative(seed: int, kind: MonadKind) -> GenerativeCoalgebra:
     return GenerativeCoalgebra(states, labels, kind, c)
 
 
-def random_tree_automaton(seed: int) -> TreeCoalgebra:
-    rng = random.Random(("tree", seed).__repr__())
+def random_tree_automaton(seed: int, alg: Modality = Modality.JOIN) -> TreeCoalgebra:
+    """A tree machine read by `alg` over a constant and at most one more
+    symbol: a few of the (symbol, child states) nodes per state, as a set, a
+    subdistribution or a few conjunct sets (some empty) as `alg` needs.
+    Under meet, a node of another symbol than the tree's fails the state, so
+    each state's nodes share one symbol."""
+    key = ("tree", seed) if alg is Modality.JOIN else ("tree", alg.value, seed)
+    rng = random.Random(key.__repr__())
     signature = {"c": 0}
     if rng.random() < 0.8:
         signature[rng.choice("fg")] = rng.randint(1, 2)
@@ -115,8 +122,20 @@ def random_tree_automaton(seed: int) -> TreeCoalgebra:
     nodes = [(sym, kids)
              for sym, n in signature.items()
              for kids in _tuples(list(states), n)]
-    c = {x: pow_value(nd for nd in nodes if rng.random() < 0.35) for x in states}
-    return TreeCoalgebra(states, signature, MonadKind.POW, Modality.JOIN, c)
+    if alg is Modality.EXPECT:
+        c = {x: _random_subdist(rng, nodes) for x in states}
+    elif alg is Modality.JOIN_MEET:
+        c = {x: double_pow([nd for nd in nodes if rng.random() < 0.35]
+                           for _ in range(rng.randint(0, 3)))
+             for x in states}
+    elif alg is Modality.MEET:
+        c = {}
+        for x in states:
+            sym = rng.choice(list(signature))
+            c[x] = pow_value(nd for nd in nodes if nd[0] == sym and rng.random() < 0.35)
+    else:
+        c = {x: pow_value(nd for nd in nodes if rng.random() < 0.35) for x in states}
+    return TreeCoalgebra(states, signature, MODALITY_KIND[alg], alg, c)
 
 
 def random_strange(seed: int) -> StrangeCoalgebra:

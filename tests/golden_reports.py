@@ -6,8 +6,9 @@ depths 0 and 3, plus `counterexample`.  Beyond the fixtures, `tests/gen.py`
 machines (seeds 0-9) are written to files with `serialize_machine`, and
 their reports name the file without its directory: `compare` at depth 5 on
 every Moore configuration and both generative kinds, `strategies` at depth
-3 on io systems of both modes, and `determinise` on the generative io
-systems and the powerset Moore configurations.  A case's digest is the
+3 on io systems of both modes, `determinise` on the generative io systems
+and the powerset Moore configurations, and `semantics` at depth 4 on tree
+machines of every modality.  A case's digest is the
 sha256 of the report as the CLI prints it, without `timing_s`; a rejected
 case digests its error class and message, so rejections are pinned too.  A
 change that must leave every report as it was is checked by
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from tests import gen
 from tracekit.cli import run_command, serialize_machine
-from tracekit.kernel import KernelError, MonadKind
+from tracekit.kernel import KernelError, Modality, MonadKind
 
 FIXTURES = "machines"
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -41,6 +42,7 @@ LAW_SEED = 1
 GENERATED_SEEDS = range(10)
 GENERATED_DEPTH = 5
 STRATEGY_BOUND = 3
+TREE_DEPTH = 4
 
 
 def fixture_names() -> list[str]:
@@ -86,6 +88,10 @@ def generated_machines() -> dict[str, tuple]:
         for config in ("nda-exists", "nda-forall"):
             out[f"gen moore {config} {seed} determinise"] = \
                 (gen.random_moore(seed, config), "determinise", None)
+    for seed in GENERATED_SEEDS:
+        for alg in Modality:
+            out[f"gen tree {alg.value} {seed} semantics --depth {TREE_DEPTH}"] = \
+                (gen.random_tree_automaton(seed, alg), "semantics", TREE_DEPTH)
     return out
 
 

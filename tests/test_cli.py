@@ -282,6 +282,8 @@ GENERATED = {
     **{f"generative-{k.value}": (lambda s, k=k: gen.random_generative(s, k))
        for k in (MonadKind.POW, MonadKind.SUBDIST)},
     "tree": gen.random_tree_automaton,
+    **{f"tree-{alg.value}": (lambda s, alg=alg: gen.random_tree_automaton(s, alg))
+       for alg in (Modality.MEET, Modality.EXPECT, Modality.JOIN_MEET)},
     "strange": gen.random_strange,
     **{f"io-{mode}": (lambda s, mode=mode: gen.random_io_system(s, mode))
        for mode in ("generative", "reactive")},
