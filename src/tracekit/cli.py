@@ -54,7 +54,7 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import TruncatedLanguage, enumerate_trees, enumerate_words
+from tracekit.languages import TruncatedLanguage, enumerate_words, unfold_trees
 from tracekit.laws import (
     LawReport,
     check_em_law,
@@ -659,16 +659,20 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
                 out[x]["retained_mass"] = show_value(traces[x].mass())
         return out
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
-        trees = enumerate_trees(machine.signature, max(depth, 1))
-        shown = [repr(t) for t in trees]
-        return {x: {"tree_language": [[name, show_value(logic_eval_tree(machine, x, t))]
-                                      for name, t in zip(shown, trees)]}
+        names = unfold_trees(machine.signature, max(depth, 1), _tree_name)
+        columns = logic_eval_tree(machine, max(depth, 1))
+        return {x: {"tree_language": [[name, show_value(v)] for name, v in zip(names, columns[x])]}
                 for x in states}
     if isinstance(machine, StrangeCoalgebra) and engine == "logic":
         tables = logic_eval_strange(machine, depth)
         return {x: {"by_steps": list(tables[x])} for x in states}
     raise MachineFormatError(
         f"engine {engine!r} does not apply to {type(machine).__name__}")
+
+
+def _tree_name(symbol, kids: tuple) -> str:
+    """A tree's name, `repr(Tree)`, from its kids' names."""
+    return f"{symbol}({', '.join(kids)})" if kids else str(symbol)
 
 
 def _cmd_compare(options) -> dict:

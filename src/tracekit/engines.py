@@ -38,10 +38,11 @@ Every word engine hands each state's language over as a column in the one
 length only: an engine call builds at most one word list, never one per
 state, and `kbar` places each trace's mass at its word's position.
 
-Tree and strange machines have their own logical evaluators
-(`logic_eval_tree` per state and tree; `logic_eval_strange` for every state
-at once, bottom-up one step count at a time).  Whole-machine results are
-`{state: value}` maps.  The engines produce exactly equal truncated
+Tree and strange machines have their own logical evaluators, each one
+bottom-up pass for every state at once: `logic_eval_tree` over the trees,
+one `languages.unfold_trees` fold whose value at a tree is every state's,
+and `logic_eval_strange` one step count at a time.  Whole-machine results
+are `{state: value}` maps.  The engines produce exactly equal truncated
 languages on the machine classes where the connecting laws hold;
 `compare_semantics` materialises that check along one path for Moore and
 generative machines: one step view, each engine run once on it, every pair
@@ -97,12 +98,12 @@ from tracekit.kernel import (
 from tracekit.languages import (
     DEFAULT_GUARD,
     SizeGuardError,
-    Tree,
     TruncatedLanguage,
     count_words,
     enumerate_words,
     explore_subsets,
     language_equal,
+    unfold_trees,
     unfold_words,
     word_position,
 )
@@ -725,22 +726,25 @@ def logic_language(view: StepView, depth: int, states=None) -> dict:
             for x in states}
 
 
-def logic_eval_tree(tc: TreeCoalgebra, x, tree: Tree) -> object:
-    """Evaluate one tree as a test: match root symbols, meet over children."""
-    bot = omega_bot(tc.alg)
+def logic_eval_tree(tc: TreeCoalgebra, depth: int) -> dict:
+    """For every state, its value on every tree of height <= depth, as a
+    column in `enumerate_trees` order: one bottom-up pass
+    (`languages.unfold_trees`) whose value at a tree is every state's.
 
-    def match(node, t: Tree):
-        sym, kids = node
-        if sym != t.symbol:
-            return bot
-        return omega_meet(tc.alg, (ev(kid, sub) for kid, sub in zip(kids, t.children)))
+    A state's value on `symbol(kids)` collapses its nodes under the
+    modality: a node of another symbol gives bottom, one of this symbol the
+    meet of the kids' values at its child states.
+    """
+    alg, bot = tc.alg, omega_bot(tc.alg)
 
-    def ev(y, t: Tree):
-        if t.symbol not in tc.signature or len(t.children) != tc.signature[t.symbol]:
-            raise KernelError(f"tree node {t.symbol!r} does not fit the signature")
-        return algebra_map(tc.alg, lambda node: match(node, t), tc.c[y])
+    def node(symbol, kids: tuple) -> dict:
+        def match(nd):
+            sym, ys = nd
+            return omega_meet(alg, (kid[y] for kid, y in zip(kids, ys))) if sym == symbol else bot
+        return {x: algebra_map(alg, match, tc.c[x]) for x in tc.states}
 
-    return ev(tc.states.require(x), tree)
+    values = unfold_trees(tc.signature, depth, node)
+    return {x: [v[x] for v in values] for x in tc.states}
 
 
 def logic_eval_strange(sc: StrangeCoalgebra, depth: int) -> dict:

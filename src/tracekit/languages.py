@@ -6,10 +6,12 @@ the engines converge to.  It is held as one column of values in
 `enumerate_words` order, the one word order, which only this module knows
 (`unfold_words`, `word_position`, `word_at`).  The words up to length k are
 the first entries of every longer list, so a word has the same position in
-every column deep enough to hold it.  Trees up to a height are enumerated
-here too, once per report and each layer counted before it is built: the
-tree engine evaluates each state on that one list.  The truncation depth is
-always an explicit parameter.  Trace sets have no type here: the fixpoint
+every column deep enough to hold it.  Trees up to a height are unfolded
+here too, the way words are: `unfold_trees` folds every tree from its
+kids' values, one layer of trees from the layer below, each layer counted
+before it is built.  `enumerate_trees`, the tree engine's columns and the
+report's tree names are all that one fold, in its one order.  The
+truncation depth is always an explicit parameter.  Trace sets have no type here: the fixpoint
 engine returns each state's traces as a plain branching value over
 (word, terminal) pairs.
 """
@@ -150,26 +152,36 @@ class Tree:
         return f"{self.symbol}({', '.join(repr(c) for c in self.children)})"
 
 
-def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAULT_GUARD) -> list[Tree]:
-    """All trees of height <= depth, in a deterministic structural order.
+def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
+                 guard: int = DEFAULT_GUARD) -> list:
+    """`node(symbol, kid values)` at every tree of height <= depth, listed in
+    `enumerate_trees` order; empty when the signature has no nullary symbol.
 
-    Empty when the signature has no nullary symbol.
+    Each layer, the trees up to one height, is built from the layer below:
+    a symbol over every tuple of its trees, symbols in `canon_key` order,
+    which is the trees' own order.  Before it is built, the layer's trees
+    are counted against `guard`: `SizeGuardError` when they exceed it.  A
+    layer that adds no tree ends the unfolding.
     """
     if depth < 1:
         raise KernelError("tree depth must be >= 1")
-    symbols = sorted(signature, key=canon_key)
-    leaves = [Tree(s) for s in symbols if signature[s] == 0]
-    trees = leaves
-    for _ in range(depth - 1):
-        # a taller tree is a leaf or a symbol over shorter children, each distinct
-        count = len(leaves) + sum(len(trees) ** signature[s] for s in symbols if signature[s])
+    arities = [(s, signature[s]) for s in sorted(signature, key=canon_key)]
+    values = []
+    for _ in range(depth):
+        n = len(values)
+        count = sum(n ** a for _, a in arities)
         if count > guard:
             raise SizeGuardError(f"{count} trees exceeds guard {guard}")
-        if count == len(trees):  # a fixpoint: deeper layers add nothing either
+        if count == n:  # a fixpoint: deeper layers add nothing either
             break
-        trees = leaves + [Tree(s, kids) for s in symbols if signature[s]
-                          for kids in product(trees, repeat=signature[s])]
-    return sorted(trees, key=canon_key)
+        values = [node(s, kids) for s, a in arities for kids in product(values, repeat=a)]
+    return values
+
+
+def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAULT_GUARD) -> list[Tree]:
+    """All trees of height <= depth, in a deterministic structural order:
+    `canon_key` order.  Empty when the signature has no nullary symbol."""
+    return unfold_trees(signature, depth, Tree, guard)
 
 
 # ---------------------------------------------------------------------------

@@ -145,23 +145,24 @@ def generative_traces(gc, x, depth: int):
 
 
 def tree_run_exists(tc, x, tree) -> bool:
-    """Enumerate decorated run trees explicitly and test any survives."""
-    def runs(y, t) -> list:
-        complete = []
+    """Enumerate decorated run trees explicitly, one at a time, and test
+    whether any survives: the enumeration stops at the first complete run."""
+    def runs(y, t):
         for node in tc.c[y].payload:
             sym, kids = node
-            if sym != t.symbol or len(kids) != len(t.children):
-                continue
-            child_runs = [[run] for run in runs(kids[0], t.children[0])] \
-                if t.children else [[]]
-            for i in range(1, len(t.children)):
-                child_runs = [acc + [run]
-                              for acc in child_runs
-                              for run in runs(kids[i], t.children[i])]
-            complete.extend((y, node, tuple(c)) for c in child_runs)
-        return complete
+            if sym == t.symbol and len(kids) == len(t.children):
+                for c in child_runs(kids, t.children):
+                    yield (y, node, c)
 
-    return bool(runs(x, tree))
+    def child_runs(kids, children):
+        if not children:
+            yield ()
+            return
+        for run in runs(kids[0], children[0]):
+            for rest in child_runs(kids[1:], children[1:]):
+                yield (run,) + rest
+
+    return next(runs(x, tree), None) is not None
 
 
 def strange_reachable_stop(sc, x, n: int) -> bool:

@@ -282,10 +282,10 @@ def test_criterion_6_tree_suite():
     violations = []
     for seed in range(N_TREE):
         tc = gen.random_tree_automaton(seed)
-        trees = enumerate_trees(tc.signature, 3)
+        trees, table = enumerate_trees(tc.signature, 4), logic_eval_tree(tc, 4)
         for x in tc.states:
-            for t in trees:
-                if logic_eval_tree(tc, x, t) != oracles.tree_run_exists(tc, x, t):
+            for t, got in zip(trees, table[x], strict=True):
+                if got != oracles.tree_run_exists(tc, x, t):
                     violations.append((seed, x, t))
     _report(6, "tree logic equals run-existence enumeration on random tree automata",
             violations, time.perf_counter() - started, 10.0)

@@ -40,8 +40,8 @@ from tracekit.kernel import (
 )
 from tracekit.languages import (
     SizeGuardError,
-    Tree,
     TruncatedLanguage,
+    enumerate_trees,
     enumerate_words,
     language_equal,
 )
@@ -593,17 +593,12 @@ def test_logic_epsilon_is_output():
 
 
 def test_logic_tree_examples():
+    # x -> f(y, y), y -> c: x accepts f(c, c) alone, y accepts c alone
     t1 = load("tree_fc")
-    fcc = Tree("f", (Tree("c"), Tree("c")))
-    assert logic_eval_tree(t1, "x", fcc) is True
-    assert logic_eval_tree(t1, "x", Tree("c")) is False
-    assert logic_eval_tree(t1, "y", Tree("c")) is True
-
-
-def test_logic_tree_arity_mismatch():
-    t1 = load("tree_fc")
-    with pytest.raises(KernelError):
-        logic_eval_tree(t1, "x", Tree("f", (Tree("c"),)))
+    assert [repr(t) for t in enumerate_trees(t1.signature, 3)] == [
+        "c", "f(c, c)", "f(c, f(c, c))", "f(f(c, c), c)", "f(f(c, c), f(c, c))"]
+    assert logic_eval_tree(t1, 3) == {"x": [False, True, False, False, False],
+                                      "y": [True, False, False, False, False]}
 
 
 def test_logic_generative_examples():
@@ -840,9 +835,8 @@ def test_random_generative_trace_sets_match_the_oracle(kind):
 
 
 def test_random_tree_oracle():
-    from tracekit.languages import enumerate_trees
     for seed in range(20):
         tc = gen.random_tree_automaton(seed)
+        trees, table = enumerate_trees(tc.signature, 4), logic_eval_tree(tc, 4)
         for x in tc.states:
-            for t in enumerate_trees(tc.signature, 3):
-                assert logic_eval_tree(tc, x, t) == oracles.tree_run_exists(tc, x, t)
+            assert table[x] == [oracles.tree_run_exists(tc, x, t) for t in trees], (seed, x)
