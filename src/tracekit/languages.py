@@ -27,9 +27,11 @@ from tracekit.kernel import KernelError, Universe, canon_key
 #: Hard ceiling on enumerated objects, shared by words and trees.
 DEFAULT_GUARD = 20_000
 #: Hard ceiling on the letters of the words up to a depth, summed over the
-#: words.  Within `DEFAULT_GUARD` words an alphabet of two or more letters
+#: words, and on the nodes of the trees up to a height, summed over the
+#: trees.  Within `DEFAULT_GUARD` words an alphabet of two or more letters
 #: reaches at most 196,610 letters (two letters at depth 13), so only a
-#: one-letter alphabet meets this ceiling: after depth 631.
+#: one-letter alphabet meets this ceiling: after depth 631.  The trees of
+#: one constant and one unary symbol meet it after the same height.
 LETTER_GUARD = 200_000
 
 
@@ -160,18 +162,24 @@ def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
     Each layer, the trees up to one height, is built from the layer below:
     a symbol over every tuple of its trees, symbols in `canon_key` order,
     which is the trees' own order.  Before it is built, the layer's trees
-    are counted against `guard`: `SizeGuardError` when they exceed it.  A
-    layer that adds no tree ends the unfolding.
+    are counted against `guard` and then their nodes, summed over the
+    trees, against `LETTER_GUARD`; `SizeGuardError` when either is
+    exceeded.  A layer that adds no tree ends the unfolding.
     """
     if depth < 1:
         raise KernelError("tree depth must be >= 1")
     arities = [(s, signature[s]) for s in sorted(signature, key=canon_key)]
-    values = []
+    values, total = [], 0  # the trees' values and their nodes, summed
     for _ in range(depth):
         n = len(values)
         count = sum(n ** a for _, a in arities)
         if count > guard:
             raise SizeGuardError(f"{count} trees exceeds guard {guard}")
+        # a tree has one node more than its kids, and each of a symbol's a kid
+        # positions holds every tree of the layer below n ** (a - 1) times
+        total = sum(n ** a + (a and a * n ** (a - 1) * total) for _, a in arities)
+        if total > LETTER_GUARD:
+            raise SizeGuardError(f"more than {LETTER_GUARD} nodes in the trees up to height {depth}")
         if count == n:  # a fixpoint: deeper layers add nothing either
             break
         values = [node(s, kids) for s, a in arities for kids in product(values, repeat=a)]

@@ -552,18 +552,68 @@ def test_negative_depth_is_rejected(argv, capsys):
     assert capsys.readouterr().err.startswith("error: --depth must be >= 0")
 
 
+def _cli(*argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
+    """`tracekit` run as a child process from the repository root."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "tracekit.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_tree_semantics_beyond_the_budget_fails_fast():
     # trees up to height 6 over tree_fc's signature number 677 ** 2 + 1; the
     # budget is checked on that count, before the layer is built
     assert all(len(r["tree_language"]) == 677 for r in run_command(
         "semantics", machine=f"{FIXTURES}/tree_fc.json", depth=5)["results"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "tracekit.cli", "semantics",
-                           f"{FIXTURES}/tree_fc.json", "--depth", "6"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    done = _cli("semantics", f"{FIXTURES}/tree_fc.json", "--depth", "6")
     assert done.returncode == 2 and done.stdout == ""
     assert re.fullmatch(r"error: \d+ trees exceeds guard 20000\n", done.stderr)
+
+
+#: `bench/generate.py`'s `tree(rng, 4)`, drawn from `random.Random(1)` after `tree(rng, 2)`
+SHARED_SUBTREES = {
+    "format": 1, "kind": "tree", "monad": "pow", "modality": "join",
+    "states": ["s0", "s1", "s2", "s3"], "signature": {"c": 0, "f": 2},
+    "transitions": {
+        "s0": [["f", ["s0", "s2"]], ["f", ["s1", "s1"]], ["f", ["s2", "s0"]],
+               ["f", ["s2", "s1"]], ["f", ["s3", "s0"]], ["f", ["s3", "s1"]],
+               ["f", ["s3", "s3"]]],
+        "s1": [["c", []], ["f", ["s0", "s2"]], ["f", ["s0", "s3"]], ["f", ["s1", "s0"]],
+               ["f", ["s1", "s2"]], ["f", ["s1", "s3"]], ["f", ["s2", "s3"]],
+               ["f", ["s3", "s2"]], ["f", ["s3", "s3"]]],
+        "s2": [["f", ["s1", "s1"]], ["f", ["s2", "s3"]], ["f", ["s3", "s0"]],
+               ["f", ["s3", "s3"]]],
+        "s3": [["f", ["s0", "s2"]], ["f", ["s1", "s3"]], ["f", ["s2", "s1"]],
+               ["f", ["s2", "s2"]], ["f", ["s3", "s2"]], ["f", ["s3", "s3"]]]}}
+
+
+def test_tree_semantics_evaluates_each_subtree_once(tmp_path):
+    # 677 trees up to height 5 on 4 states, each node offering up to 9 child
+    # pairs: evaluating every (state, tree) pair apart takes minutes
+    path = _write_machine(tmp_path / "shared.json", SHARED_SUBTREES)
+    done = _cli("semantics", path, "--depth", "5", timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert [len(r["tree_language"]) for r in json.loads(done.stdout)["results"]] == [677] * 4
+
+
+@pytest.mark.parametrize("depth", [150, 631, 632])
+def test_unary_trees_stop_at_the_node_budget(tmp_path, depth):
+    # x -> c | g(x) accepts every tree; the trees up to height d hold
+    # d * (d + 1) / 2 nodes: 199,396 at height 631, 200,028 at 632.  Neither
+    # the engine nor the tree names recurse on a tree.
+    path = _write_machine(tmp_path / "unary.json", {
+        "format": 1, "kind": "tree", "monad": "pow", "modality": "join", "states": ["x"],
+        "signature": {"c": 0, "g": 1}, "transitions": {"x": [["c", []], ["g", ["x"]]]}})
+    done = _cli("semantics", path, "--depth", str(depth))
+    assert "Traceback" not in done.stderr
+    if depth > 631:
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: more than 200000 nodes in the trees up to height 632\n"
+        return
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)["results"][0]["tree_language"]
+    assert len(rows) == depth
+    assert rows[-1] == ["g(" * (depth - 1) + "c" + ")" * (depth - 1), True]
 
 
 def test_counterexample_depth_defaults_only_when_absent():

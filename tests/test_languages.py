@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tests import gen
+from tracekit import languages
 from tracekit.engines import em_language, logic_language, step_view
-from tracekit.kernel import KernelError, MonadKind, Universe
+from tracekit.kernel import KernelError, MonadKind, Universe, canon_key
 from tracekit.languages import (
     ShapeMismatchError,
     SizeGuardError,
@@ -98,6 +99,26 @@ def test_enumerate_trees_counts_each_layer_exactly():
     assert len(enumerate_trees(sig, 4, guard=183)) == 183
     with pytest.raises(SizeGuardError, match="183 trees exceeds guard 182"):
         enumerate_trees(sig, 4, guard=182)
+
+
+@pytest.mark.parametrize("signature, depth", [
+    ({"c": 0, "f": 1, "g": 2}, 4), ({"d": 0, "c": 0, "h": 3}, 3), ({"c": 0, "g": 1}, 12),
+    ({"c": 0, "f": 2}, 5), ({"b": 0, "a": 1, "z": 0, "k": 2}, 3),
+])
+def test_enumerate_trees_lists_canon_key_order_and_counts_its_nodes(signature, depth, monkeypatch):
+    # the layers are built in order, not sorted; their nodes are counted, not
+    # built, and the budget admits exactly the trees' nodes
+    def size(t):
+        return 1 + sum(map(size, t.children))
+
+    trees = enumerate_trees(signature, depth)
+    assert trees == sorted(trees, key=canon_key)
+    nodes = sum(map(size, trees))
+    monkeypatch.setattr(languages, "LETTER_GUARD", nodes)
+    assert enumerate_trees(signature, depth) == trees
+    monkeypatch.setattr(languages, "LETTER_GUARD", nodes - 1)
+    with pytest.raises(SizeGuardError, match=f"more than {nodes - 1} nodes"):
+        enumerate_trees(signature, depth)
 
 
 def test_enumerate_trees_no_nullary():
