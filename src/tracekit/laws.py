@@ -160,22 +160,6 @@ def t_pool(kind: MonadKind, base: Sequence, rng: random.Random, small: bool = Fa
 # canonical generative-to-deterministic transforms
 
 
-def canonical_rho4(kind: MonadKind, alphabet: Universe) -> Callable:
-    """One-element transform: a move becomes a single-letter successor table,
-    a terminal becomes immediate acceptance with no successors."""
-    alg = canonical_alg(kind)
-
-    def rho4(v):
-        if isinstance(v, Move):
-            fam = {b: (monad_unit(kind, v.target) if b == v.label else _zero(kind))
-                   for b in alphabet}
-            return omega_bot(alg), fam
-        if isinstance(v, Done):
-            return omega_top(alg), {b: _zero(kind) for b in alphabet}
-        raise KernelError(f"expected Move or Done, got {v!r}")
-    return rho4
-
-
 def canonical_rho2(kind: MonadKind, alphabet: Universe) -> Callable:
     """Direct extension transform: branching over moves/terminals becomes one
     (acceptance, per-letter successor set) pair."""
@@ -217,10 +201,6 @@ def _extend(kind: MonadKind, kappa: Callable, f: Callable, alphabet: Universe) -
 def _pack(pair) -> tuple:
     om, fam = pair
     return (om, fam if isinstance(fam, FiniteFunc) else FiniteFunc(fam))
-
-
-def _zero(kind: MonadKind) -> MonadValue:
-    return pow_value([]) if kind is MonadKind.POW else sub_dist([])
 
 
 def _tau(alg: Modality, tv: MonadValue, points: Sequence) -> FiniteFunc:

@@ -101,14 +101,6 @@ class Strategy:
     def sorted_plays(self) -> list[tuple]:
         return sorted(self.plays, key=lambda p: (len(p), canon_key(p)))
 
-    def is_prefix_closed(self) -> bool:
-        if self.mode == "generative":
-            return all(len(p) % 2 == 1 and (len(p) == 1 or p[:-2] in self.plays)
-                       for p in self.plays)
-        return () in self.plays and all(
-            len(p) % 2 == 0 and (len(p) == 0 or p[:-2] in self.plays)
-            for p in self.plays)
-
 
 def io_traces(sys: IOSystem, bound: int) -> dict:
     """Every state's strategy: all witnessed passive-ending plays with at

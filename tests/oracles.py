@@ -205,6 +205,17 @@ def io_play_witnessed(sys, x, play) -> bool:
     return search_r(x, play)
 
 
+def strategy_prefix_closed(sigma) -> bool:
+    """Every play of the strategy is passive-ending and its prefix one
+    exchange shorter is a play too; a reactive strategy holds the empty play."""
+    if sigma.mode == "generative":
+        return all(len(p) % 2 == 1 and (len(p) == 1 or p[:-2] in sigma.plays)
+                   for p in sigma.plays)
+    return () in sigma.plays and all(
+        len(p) % 2 == 0 and (len(p) == 0 or p[:-2] in sigma.plays)
+        for p in sigma.plays)
+
+
 def io_all_candidate_plays(sys, bound: int) -> list:
     """Every well-formed passive-ending play over the signature, within bound."""
     sig = sys.signature

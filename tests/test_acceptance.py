@@ -299,7 +299,7 @@ def test_criterion_7_strategy_suite():
             sys = gen.random_io_system(seed, mode)
             traces = io_traces(sys, 3)
             for x in sys.states:
-                if not traces[x].is_prefix_closed():
+                if not oracles.strategy_prefix_closed(traces[x]):
                     violations.append((mode, seed, x, "prefix"))
             if not check_strategy_coalgebra(sys, traces).holds:
                 violations.append((mode, seed, "coherence"))

@@ -11,14 +11,17 @@ from tracekit.kernel import (
     MonadKind,
     Move,
     Universe,
+    canonical_alg,
     kappa_moore,
     lambda_generative,
     monad_unit,
+    omega_bot,
+    omega_top,
     pow_value,
+    sub_dist,
 )
 from tracekit.laws import (
     canonical_rho2,
-    canonical_rho4,
     check_em_law,
     check_extension_requirement,
     check_extension_square,
@@ -202,6 +205,21 @@ def test_pentagon_kl_terminal_mutation_is_not_a_counterexample():
 
 # ---------------------------------------------------------------------------
 # the mate transform
+
+
+def canonical_rho4(kind: MonadKind, alphabet: Universe):
+    """One-element transform: a move becomes a single-letter successor table,
+    a terminal becomes immediate acceptance with no successors."""
+    alg = canonical_alg(kind)
+    zero = pow_value([]) if kind is MonadKind.POW else sub_dist([])
+
+    def rho4(v):
+        if isinstance(v, Move):
+            return omega_bot(alg), {b: monad_unit(kind, v.target) if b == v.label else zero
+                                    for b in alphabet}
+        assert isinstance(v, Done), v
+        return omega_top(alg), {b: zero for b in alphabet}
+    return rho4
 
 
 def test_mate_reproduces_published_extension():

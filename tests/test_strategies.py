@@ -207,7 +207,7 @@ def test_random_systems_prefix_closed_and_oracle(mode):
         traces = io_traces(sys, 3)
         for x in sys.states:
             sigma = traces[x]
-            assert sigma.is_prefix_closed()
+            assert oracles.strategy_prefix_closed(sigma)
             witnessed = {p for p in oracles.io_all_candidate_plays(sys, 3)
                          if oracles.io_play_witnessed(sys, x, p)}
             assert sigma.plays == witnessed
