@@ -54,7 +54,7 @@ from tracekit.kernel import (
     pow_value,
     sub_dist,
 )
-from tracekit.languages import TruncatedLanguage, enumerate_words, unfold_trees
+from tracekit.languages import TruncatedLanguage, enumerate_words, tree_name, unfold_trees
 from tracekit.laws import (
     LawReport,
     check_em_law,
@@ -659,7 +659,7 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
                 out[x]["retained_mass"] = show_value(traces[x].mass())
         return out
     if isinstance(machine, TreeCoalgebra) and engine == "logic":
-        names = unfold_trees(machine.signature, max(depth, 1), _tree_name)
+        names = unfold_trees(machine.signature, max(depth, 1), tree_name)
         columns = logic_eval_tree(machine, max(depth, 1))
         return {x: {"tree_language": [[name, show_value(v)] for name, v in zip(names, columns[x])]}
                 for x in states}
@@ -668,11 +668,6 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
         return {x: {"by_steps": list(tables[x])} for x in states}
     raise MachineFormatError(
         f"engine {engine!r} does not apply to {type(machine).__name__}")
-
-
-def _tree_name(symbol, kids: tuple) -> str:
-    """A tree's name, `repr(Tree)`, from its kids' names."""
-    return f"{symbol}({', '.join(kids)})" if kids else str(symbol)
 
 
 def _cmd_compare(options) -> dict:

@@ -740,7 +740,9 @@ def logic_eval_tree(tc: TreeCoalgebra, depth: int) -> dict:
     def node(symbol, kids: tuple) -> dict:
         def match(nd):
             sym, ys = nd
-            return omega_meet(alg, (kid[y] for kid, y in zip(kids, ys))) if sym == symbol else bot
+            if sym != symbol:
+                return bot
+            return omega_meet(alg, (kid[y] for kid, y in zip(kids, ys)))
         return {x: algebra_map(alg, match, tc.c[x]) for x in tc.states}
 
     values = unfold_trees(tc.signature, depth, node)

@@ -10,10 +10,10 @@ every column deep enough to hold it.  Trees up to a height are unfolded
 here too, the way words are: `unfold_trees` folds every tree from its
 kids' values, one layer of trees from the layer below, each layer counted
 before it is built.  `enumerate_trees`, the tree engine's columns and the
-report's tree names are all that one fold, in its one order.  The
-truncation depth is always an explicit parameter.  Trace sets have no type here: the fixpoint
-engine returns each state's traces as a plain branching value over
-(word, terminal) pairs.
+report's tree names (`tree_name`) are all that one fold, in its one order.
+The truncation depth is always an explicit parameter.  Trace sets have no
+type here: the fixpoint engine returns each state's traces as a plain
+branching value over (word, terminal) pairs.
 """
 
 from __future__ import annotations
@@ -149,9 +149,13 @@ class Tree:
         return (12, canon_key(self.symbol), canon_key(self.children))
 
     def __repr__(self):
-        if not self.children:
-            return str(self.symbol)
-        return f"{self.symbol}({', '.join(repr(c) for c in self.children)})"
+        return tree_name(self.symbol, tuple(map(repr, self.children)))
+
+
+def tree_name(symbol, kids: tuple) -> str:
+    """The name of the tree `symbol(kids)` from its kids' names: `symbol`
+    alone for a leaf."""
+    return f"{symbol}({', '.join(kids)})" if kids else str(symbol)
 
 
 def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
@@ -179,7 +183,8 @@ def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
         # positions holds every tree of the layer below n ** (a - 1) times
         total = sum(n ** a + (a and a * n ** (a - 1) * total) for _, a in arities)
         if total > LETTER_GUARD:
-            raise SizeGuardError(f"more than {LETTER_GUARD} nodes in the trees up to height {depth}")
+            raise SizeGuardError(
+                f"more than {LETTER_GUARD} nodes in the trees up to height {depth}")
         if count == n:  # a fixpoint: deeper layers add nothing either
             break
         values = [node(s, kids) for s, a in arities for kids in product(values, repeat=a)]
