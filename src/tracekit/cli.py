@@ -51,6 +51,7 @@ from tracekit.kernel import (
     canon_key,
     check_output,
     double_pow,
+    ordered,
     pow_value,
     sub_dist,
 )
@@ -266,8 +267,8 @@ def set_of(elem: Codec) -> Codec:
     return Codec(
         lambda raw, fields, where: pow_value([elem.parse(e, fields, where)
                                               for e in _list(raw, where)]),
-        (lambda v, fields: list(v.payload)) if elem.show is _same
-        else lambda v, fields: [elem.show(u, fields) for u in v.payload])
+        (lambda v, fields: list(ordered(v))) if elem.show is _same
+        else lambda v, fields: [elem.show(u, fields) for u in ordered(v)])
 
 
 def sets_of(elem: Codec) -> Codec:
@@ -276,8 +277,8 @@ def sets_of(elem: Codec) -> Codec:
         lambda raw, fields, where: double_pow([elem.parse(e, fields, where)
                                                for e in _list(s, where)]
                                               for s in _list(raw, where)),
-        (lambda v, fields: [list(s) for s in v.payload]) if elem.show is _same
-        else lambda v, fields: [[elem.show(u, fields) for u in s] for s in v.payload])
+        (lambda v, fields: [list(s) for s in ordered(v)]) if elem.show is _same
+        else lambda v, fields: [[elem.show(u, fields) for u in s] for s in ordered(v)])
 
 
 def weighted(elem: Codec) -> Codec:
@@ -286,7 +287,7 @@ def weighted(elem: Codec) -> Codec:
         lambda raw, fields, where: _sub_dist(
             [(elem.parse(e, fields, where), parse_rational(w, where))
              for e, w in _pairs(raw, where)], where),
-        lambda v, fields: [[elem.show(u, fields), show_value(w)] for u, w in v.payload])
+        lambda v, fields: [[elem.show(u, fields), show_value(w)] for u, w in ordered(v)])
 
 
 def branching(elem: Codec, subdist: Codec) -> Codec:
@@ -316,7 +317,7 @@ _WEIGHTS = keyed("states", RATIONAL, missing=OPTIONAL)
 #: a Moore step: a list of states, a {state: weight} object or a list of lists of states
 STEP = branching(STATE, Codec(
     lambda raw, fields, where: _sub_dist(_WEIGHTS.parse(raw, fields, where), where),
-    lambda v, fields: {x: show_value(w) for x, w in v.payload}))
+    lambda v, fields: {x: show_value(w) for x, w in ordered(v)}))
 
 
 _TERMINAL, _LABEL, _LETTER = member("terminals"), member("labels"), member("alphabet")
@@ -550,8 +551,8 @@ def show_language(lang: TruncatedLanguage, words: list) -> list:
 
 def show_trace_set(ts: MonadValue) -> list:
     if ts.kind is MonadKind.POW:
-        return [[list(w), s] for w, s in ts.elements]
-    return [[list(w), s, show_value(m)] for (w, s), m in ts.payload]
+        return [[list(w), s] for w, s in ordered(ts)]
+    return [[list(w), s, show_value(m)] for (w, s), m in ordered(ts)]
 
 
 def show_law_report(rep: LawReport) -> dict:

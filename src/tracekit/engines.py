@@ -86,6 +86,7 @@ from tracekit.kernel import (
     Universe,
     algebra_eval,
     algebra_map,
+    canon_key,
     canonical_alg,
     check_output,
     monad_bind,
@@ -670,10 +671,11 @@ def _suffix_pass(view: StepView, words: list, positions) -> tuple[dict, dict]:
 
 def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
     """The error of a poisoned entry: follow the first poisoned successor in
-    payload order down to the semantic state that cannot answer."""
+    `canon_key` order down to the semantic state that cannot answer."""
     while y not in view.semantic:
         mv, w = view.trans[y][w[0]], w[1:]
-        y = next(z for z in _base_states(mv) if poison.get(w, 0) >> view.index[z] & 1)
+        y = min((z for z in _base_states(mv) if poison.get(w, 0) >> view.index[z] & 1),
+                key=canon_key)
     return KernelError(f"semantic state {y!r} (depth {view.semantic[y].depth}) "
                        f"cannot answer a residual word of length {len(w)}")
 

@@ -1,18 +1,23 @@
 """Finite universes, branching-monad values and the maps every engine is built from.
 
-Everything here is immutable and canonical: two values that denote the same
-set / subdistribution compare equal on their payloads.  All arithmetic is
+Everything here is immutable: two values that denote the same set /
+subdistribution / function compare equal and hash alike.  All arithmetic is
 exact (`fractions.Fraction`); there is no floating point anywhere in the
 package.
 
-Canonicalisation (deduplicating by hash, then sorting by `canon_key`)
-happens only where a value is built to be stored, compared or printed:
-`pow_value`, `sub_dist`, `double_pow` and the maps that return one.  A value
-that is collapsed at once goes through `algebra_map(alg, f, v)`, which
-equals `algebra_eval(alg, functor_map(kind, f, v))` but applies `f` and the
-modality in one pass over `v`, building no mapped value.  `MonadValue` and
-`FiniteFunc` compute their canonical key and their hash once and keep them,
-so merging nested values does not rehash their contents.
+A branching value holds its payload in the order it was built, duplicates
+removed and equal elements' weights merged; only its contents matter.
+`==` and `hash` read the payload as a frozenset (inner sets frozensets too),
+and a `FiniteFunc` is a dict, so building a value sorts nothing and nothing
+iterates a set: iteration order is a function of the inputs alone.  Order
+comes back only where it shows: `ordered(v)` is the one sorted view, in
+`canon_key` order, read by `canon_key` of a value, by `repr` and by the
+CLI's codecs and reports.  A value that is collapsed at once goes through
+`algebra_map(alg, f, v)`, which equals `algebra_eval(alg, functor_map(kind,
+f, v))` but applies `f` and the modality in one pass over `v`, building no
+mapped value.  `MonadValue` and `FiniteFunc` compute their canonical key,
+their frozen contents and their hash once and keep them, so merging nested
+values does not rehash their contents.
 
 A modality is defined here and nowhere else: `MODALITY_KIND` says which
 branching kind it evaluates, `check_output` what counts as one of its
@@ -22,10 +27,11 @@ and `algebra_map`), and `canonical_alg` which modality is a monad's own.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 
 class KernelError(Exception):
@@ -53,7 +59,8 @@ class UniverseError(KernelError):
 
 
 def canon_key(x: Any):
-    """Total-order key used to sort payloads deterministically.
+    """Total-order key of the one sorted view (`ordered`) and of every
+    other place where order shows.
 
     Covers every element shape that occurs in machine payloads: symbols,
     exact numbers, tuples, finite functions, generative moves and nested
@@ -86,9 +93,9 @@ def canon_key(x: Any):
 
 
 def _cached(obj, attr: str, compute: Callable[[], Any]):
-    """A derived value of a frozen value (its canonical key or its hash),
-    computed on first use and kept outside its dataclass fields, so `==`,
-    `repr` and `dataclasses.asdict` ignore it."""
+    """A derived value of a frozen value (its canonical key, its frozen
+    contents or its hash), computed on first use and kept outside its
+    dataclass fields, so `repr` and `dataclasses.asdict` ignore it."""
     try:
         return getattr(obj, attr)
     except AttributeError:
@@ -140,29 +147,35 @@ class Universe:
 
 @dataclass(frozen=True)
 class FiniteFunc:
-    """A total function with finite domain, stored as sorted (key, value) pairs."""
+    """A total function with finite domain, held as the dict `table` from
+    each key to its value: `==` reads the dict, so the order the pairs were
+    given in does not show.  `repr` lists the pairs in `canon_key` order, as
+    `FiniteFunc(entries=(...))`."""
 
-    entries: tuple
+    table: dict
 
     def __init__(self, mapping: Mapping | Iterable):
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        entries = tuple(sorted(items, key=lambda kv: canon_key(kv[0])))
-        keys = [k for k, _ in entries]
-        if len(set(keys)) != len(keys):
-            raise UniverseError(f"duplicate keys in finite function: {keys!r}")
-        object.__setattr__(self, "entries", entries)
+        if isinstance(mapping, Mapping):
+            table = dict(mapping)
+        else:
+            pairs = tuple(mapping)
+            table = dict(pairs)
+            if len(table) != len(pairs):
+                keys = sorted((k for k, _ in pairs), key=canon_key)
+                raise UniverseError(f"duplicate keys in finite function: {keys!r}")
+        object.__setattr__(self, "table", table)
 
     def __call__(self, key):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.table[key]
 
     def _canon_key_(self):
-        return _cached(self, "_canon_key", lambda: (7, canon_key(self.entries)))
+        return _cached(self, "_canon_key", lambda: (7, canon_key(ordered(self))))
 
     def __hash__(self):
-        return _cached(self, "_hash", lambda: hash((self.entries,)))
+        return _cached(self, "_hash", lambda: hash(frozenset(self.table.items())))
+
+    def __repr__(self):
+        return f"FiniteFunc(entries={ordered(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -223,22 +236,39 @@ MODALITY_KIND = {
 
 @dataclass(frozen=True)
 class MonadValue:
-    """A canonical value of one of the three branching functors.
+    """A value of one of the three branching functors, its payload in the
+    order it was built:
 
-    - POW: sorted, duplicate-free tuple of elements.
-    - SUBDIST: sorted tuple of (element, weight) pairs, weights positive
-      exact rationals with total mass <= 1.
-    - DOUBLE_POW: sorted, duplicate-free tuple of inner sorted tuples.
+    - POW: a duplicate-free tuple of elements.
+    - SUBDIST: a tuple of (element, weight) pairs, elements distinct,
+      weights positive exact rationals with total mass <= 1.
+    - DOUBLE_POW: a tuple of inner duplicate-free tuples, no two of them
+      the same set.
+
+    Two values are equal when their payloads hold the same contents, in
+    any order; `ordered(v)` lists them in `canon_key` order.
     """
 
     kind: MonadKind
     payload: tuple
 
+    def _contents(self) -> frozenset:
+        def compute():
+            if self.kind is MonadKind.DOUBLE_POW:
+                return frozenset(map(frozenset, self.payload))
+            return frozenset(self.payload)
+        return _cached(self, "_frozen", compute)
+
+    def __eq__(self, other):
+        if other.__class__ is not MonadValue:
+            return NotImplemented
+        return self is other or (self.kind is other.kind and self._contents() == other._contents())
+
     def _canon_key_(self):
-        return _cached(self, "_canon_key", lambda: (10, self.kind.value, canon_key(self.payload)))
+        return _cached(self, "_canon_key", lambda: (10, self.kind.value, canon_key(ordered(self))))
 
     def __hash__(self):
-        return _cached(self, "_hash", lambda: hash((self.kind, self.payload)))
+        return _cached(self, "_hash", lambda: hash((self.kind, self._contents())))
 
     # -- accessors ---------------------------------------------------------
 
@@ -267,21 +297,40 @@ class MonadValue:
             raise KernelError("mass is only defined on subdistribution values")
         return sum((w for _, w in self.payload), Fraction(0))
 
-    def __repr__(self):  # compact, payload-only
+    def __repr__(self):  # compact, payload-only, in canon_key order
+        payload = ordered(self)
         if self.kind is MonadKind.POW:
-            return "{" + ", ".join(repr(e) for e in self.payload) + "}"
+            return "{" + ", ".join(repr(e) for e in payload) + "}"
         if self.kind is MonadKind.SUBDIST:
-            return "{" + ", ".join(f"{e!r}: {w}" for e, w in self.payload) + "}"
-        return "{" + ", ".join("{" + ", ".join(repr(e) for e in s) + "}" for s in self.payload) + "}"
+            return "{" + ", ".join(f"{e!r}: {w}" for e, w in payload) + "}"
+        return "{" + ", ".join("{" + ", ".join(repr(e) for e in s) + "}" for s in payload) + "}"
+
+
+def ordered(v: MonadValue | FiniteFunc) -> tuple:
+    """The one sorted view: `v`'s payload, or a function's (key, value)
+    pairs, in `canon_key` order (pairs by their first component; on double
+    powerset each inner set too, then the sets)."""
+    if type(v) is FiniteFunc:
+        return tuple(sorted(v.table.items(), key=_first_key))
+    if v.kind is MonadKind.SUBDIST:
+        return tuple(sorted(v.payload, key=_first_key))
+    if v.kind is MonadKind.POW:
+        return tuple(sorted(v.payload, key=canon_key))
+    return tuple(sorted((tuple(sorted(s, key=canon_key)) for s in v.payload), key=canon_key))
+
+
+def _first_key(pair):
+    return canon_key(pair[0])
 
 
 def pow_value(items: Iterable) -> MonadValue:
-    """Canonical finite-powerset value: sorted and duplicate-free."""
-    return MonadValue(MonadKind.POW, tuple(sorted(dict.fromkeys(items), key=canon_key)))
+    """Finite-powerset value: the items in first-seen order, duplicates removed."""
+    return MonadValue(MonadKind.POW, tuple(dict.fromkeys(items)))
 
 
 def sub_dist(weights: Mapping | Iterable) -> MonadValue:
-    """Canonical subdistribution: positive reduced weights, mass <= 1."""
+    """Subdistribution: positive reduced weights, mass <= 1, elements in
+    first-seen order with the weights of equal elements summed."""
     items = weights.items() if isinstance(weights, Mapping) else weights
     acc: dict = {}  # equal elements merge under the first key seen
     for elem, w in items:
@@ -296,13 +345,17 @@ def sub_dist(weights: Mapping | Iterable) -> MonadValue:
     total = sum(acc.values(), Fraction(0))
     if total > 1:
         raise MassError(f"total mass {total} exceeds 1")
-    return MonadValue(MonadKind.SUBDIST, tuple(sorted(acc.items(), key=lambda p: canon_key(p[0]))))
+    return MonadValue(MonadKind.SUBDIST, tuple(acc.items()))
 
 
 def double_pow(sets: Iterable[Iterable]) -> MonadValue:
-    """Canonical double-powerset value: inner and outer sets sorted, dup-free."""
-    inner = dict.fromkeys(pow_value(s).payload for s in sets)
-    return MonadValue(MonadKind.DOUBLE_POW, tuple(sorted(inner, key=canon_key)))
+    """Double-powerset value: each inner set duplicate-free, the sets in
+    first-seen order with equal sets (in any order) kept once."""
+    inner: dict = {}
+    for s in sets:
+        s = tuple(dict.fromkeys(s))
+        inner.setdefault(frozenset(s), s)
+    return MonadValue(MonadKind.DOUBLE_POW, tuple(inner.values()))
 
 
 def _require_monad(kind: MonadKind, op: str) -> None:

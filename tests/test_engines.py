@@ -202,14 +202,15 @@ def test_logic_language_on_semantic_states_matches_the_oracle():
     assert semantic > 0
 
 
-def _two_depth_lookup() -> GeneralizedCoalgebra:
-    """s0 reaches two semantic states under `a`: q (depth 1) and p (depth 2).
-    `p` comes first in the move's payload, `q` first in the state order."""
+def _two_depth_lookup(successors=("q", "p")) -> GeneralizedCoalgebra:
+    """s0 reaches two semantic states under `a`: q (depth 1) and p (depth 2),
+    listed in the move as `successors`.  `p` comes first in `canon_key`
+    order, `q` first in the state order."""
     A = Universe(["a", "b"])
     p = TruncatedLanguage(A, 2, {(): True, ("a",): False, ("b",): True, ("a", "a"): True,
                                  ("a", "b"): False, ("b", "a"): False, ("b", "b"): True})
     q = TruncatedLanguage(A, 1, {(): False, ("a",): True, ("b",): False})
-    c = {"s0": ("node", (False, {"a": pow_value(["q", "p"]), "b": pow_value(["s1"])})),
+    c = {"s0": ("node", (False, {"a": pow_value(successors), "b": pow_value(["s1"])})),
          "s1": ("node", (True, {"a": pow_value(["s1"]), "b": pow_value([])})),
          "q": ("lang", q),
          "p": ("lang", p)}
@@ -217,14 +218,15 @@ def _two_depth_lookup() -> GeneralizedCoalgebra:
                                 Modality.JOIN, c)
 
 
-def test_underflow_names_the_first_semantic_state_in_payload_order():
-    view = step_view(_two_depth_lookup())
-    assert view.trans["s0"]["a"].payload == ("p", "q")
-    # a residual of length 3 is too long for both: p comes first in the payload
-    with pytest.raises(KernelError) as err:
-        logic_eval(view, "s0", ("a", "b", "b", "a"))
-    assert str(err.value) == ("semantic state 'p' (depth 2) cannot answer "
-                              "a residual word of length 3")
+def test_underflow_names_the_first_semantic_state_in_canon_key_order():
+    for successors in (("q", "p"), ("p", "q")):
+        view = step_view(_two_depth_lookup(successors))
+        assert view.trans["s0"]["a"].payload == successors
+        # a residual of length 3 is too long for both: p comes first in canon_key order
+        with pytest.raises(KernelError) as err:
+            logic_eval(view, "s0", ("a", "b", "b", "a"))
+        assert str(err.value) == ("semantic state 'p' (depth 2) cannot answer "
+                                  "a residual word of length 3")
     # a residual of length 2 is too long for q only
     with pytest.raises(KernelError) as err:
         logic_eval(view, "s0", ("a", "b", "a"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import gen
+from tracekit.cli import serialize_machine
+from tracekit.engines import MooreCoalgebra
 from tracekit.kernel import (
     CHECK,
     AlgebraMismatchError,
@@ -33,6 +36,7 @@ from tracekit.kernel import (
     lambda_generative,
     monad_bind,
     monad_unit,
+    ordered,
     pow_value,
     strength,
     sub_dist,
@@ -225,7 +229,10 @@ def test_lambda_doublepow_rejected():
 
 def test_pow_canonical_order_and_dedup():
     assert pow_value(["b", "a", "b"]) == pow_value(["a", "b"])
-    assert pow_value(["b", "a"]).payload == ("a", "b")
+    # the payload keeps the order it was built in; the sorted view is canonical
+    assert pow_value(["b", "a", "b"]).payload == ("b", "a")
+    assert ordered(pow_value(["b", "a", "b"])) == ordered(pow_value(["a", "b"])) == ("a", "b")
+    assert repr(pow_value(["b", "a"])) == "{'a', 'b'}"
 
 
 def test_subdist_drops_zeros_and_checks_mass():
@@ -236,8 +243,9 @@ def test_subdist_drops_zeros_and_checks_mass():
         sub_dist({"a": F(-1, 2)})
 
 
-def _scan_sub_dist(pairs) -> tuple:
-    """The reference merge: scan the pairs kept so far for an equal element."""
+def _scan_sub_dist(pairs) -> list:
+    """The reference merge: scan the pairs kept so far for an equal element;
+    the merged pairs in the order their elements were first seen."""
     acc: list = []
     for elem, w in pairs:
         if w == 0:
@@ -248,7 +256,7 @@ def _scan_sub_dist(pairs) -> tuple:
                 break
         else:
             acc.append((elem, F(w)))
-    return tuple(sorted(acc, key=lambda p: canon_key(p[0])))
+    return acc
 
 
 def _merge_inputs():
@@ -274,14 +282,79 @@ def _merge_inputs():
 
 def test_sub_dist_merges_as_the_scan_does():
     for pairs in _merge_inputs():
-        got, want = sub_dist(pairs).payload, _scan_sub_dist(pairs)
-        assert got == want
-        assert all(e is f and type(w) is type(x) for (e, w), (f, x) in zip(got, want))
-    assert [type(e) for e, _ in sub_dist(pairs).payload] == [int, int]  # 0 and 1 come first
+        value, want = sub_dist(pairs), _scan_sub_dist(pairs)
+        assert value.payload == tuple(want)  # first-seen order
+        assert all(e is f and type(w) is type(x) for (e, w), (f, x) in zip(value.payload, want))
+        assert ordered(value) == tuple(sorted(want, key=lambda p: canon_key(p[0])))
+    # 1 is seen before 0; both keep the int key seen first
+    assert [e for e, _ in sub_dist(pairs).payload] == [1, 0]
+    assert [type(e) for e, _ in ordered(sub_dist(pairs))] == [int, int]
 
 
 def test_doublepow_canonical():
     assert double_pow([["z", "y"], ["y", "z"]]) == double_pow([["y", "z"]])
+
+
+#: elements of every shape a payload holds, no two equal across types (1 and
+#: True would merge under whichever is seen first)
+SHAPES = ["a", "b", 2, F(1, 2), ("a", 1), Move("a", "b"), Done(CHECK), pow_value(["x", "y"]),
+          sub_dist({"x": F(1, 3)}), FiniteFunc({"a": True})]
+#: the states of the machines whose files are compared
+STATES = ["q0", "q1", "q2", "q3"]
+BUILD = {"pow": pow_value, "subdist": sub_dist, "doublepow": double_pow, "func": FiniteFunc}
+
+
+@st.composite
+def _one_value_twice(draw, kind: str, elems: list):
+    """Two inputs that denote one value of `kind`: the second lists the
+    first's items in another order, repeats some of them (splitting a
+    weight in two) and, on double powerset, permutes every inner set."""
+    def shuffled(items: list) -> list:
+        return draw(st.permutations(items)) if items else []
+
+    def repeated(items: list) -> list:
+        return shuffled(items + draw(st.lists(st.sampled_from(items)))) if items else []
+
+    if kind == "pow":
+        items = draw(st.lists(st.sampled_from(elems), max_size=6))
+        return items, repeated(items)
+    if kind == "func":
+        pairs = [(k, draw(st.sampled_from(elems)))
+                 for k in draw(st.lists(st.sampled_from(elems), unique=True, max_size=5))]
+        return pairs, shuffled(pairs)
+    if kind == "subdist":
+        support = draw(st.lists(st.sampled_from(elems), unique=True, max_size=5))
+        pairs = [(e, draw(st.sampled_from(GRID)) / len(support)) for e in support]
+        halves = [p for e, w in pairs
+                  for p in ([(e, w / 2)] * 2 if draw(st.booleans()) else [(e, w)])]
+        return pairs, shuffled(halves)
+    sets = draw(st.lists(st.lists(st.sampled_from(elems), max_size=3), max_size=4))
+    return sets, [repeated(s) for s in repeated(sets)]
+
+
+def _one_state_machine(kind: str, step: MonadValue) -> MooreCoalgebra:
+    alg = {"pow": Modality.JOIN, "subdist": Modality.EXPECT, "doublepow": Modality.JOIN_MEET}[kind]
+    return MooreCoalgebra(Universe(STATES), Universe(["a"]), step.kind, alg,
+                          {x: F(0) if alg is Modality.EXPECT else False for x in STATES},
+                          {x: {"a": step} for x in STATES})
+
+
+@pytest.mark.parametrize("kind", list(BUILD))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_build_order_shows_nowhere(kind, data):
+    """Values built from one content in any order, with repeats, are equal,
+    hash alike, have one canonical key and one `repr`; a machine file holding
+    them is written byte for byte alike."""
+    first, second = data.draw(_one_value_twice(kind, SHAPES))
+    u, v = BUILD[kind](first), BUILD[kind](second)
+    assert u == v and hash(u) == hash(v)
+    assert canon_key(u) == canon_key(v) and repr(u) == repr(v) and ordered(u) == ordered(v)
+    if kind != "func":  # a finite function appears in no machine file
+        first, second = data.draw(_one_value_twice(kind, STATES))
+        files = [json.dumps(serialize_machine(_one_state_machine(kind, BUILD[kind](inp))))
+                 for inp in (first, second)]
+        assert files[0] == files[1]
 
 
 def test_universe_rejects_duplicates():
@@ -497,8 +570,9 @@ def test_algebra_map_rejects_what_the_two_step_form_rejects(alg, v, bad):
 
 def _reference_canon_key(x):
     """`canon_key` as it was before keys were cached: every int became a
-    Fraction and every nested value was keyed afresh.  Sorting by the
-    current key must give exactly this order."""
+    Fraction, every nested value was keyed afresh and a value was keyed by
+    its payload sorted by this key.  Sorting by the current key must give
+    exactly this order."""
     if isinstance(x, bool):
         return (0, int(x))
     if isinstance(x, int):
@@ -514,16 +588,25 @@ def _reference_canon_key(x):
     if x is None:
         return (5,)
     if isinstance(x, FiniteFunc):
-        return (7, _reference_canon_key(x.entries))
+        return (7, _reference_canon_key(_reference_sorted(x.table.items())))
     if isinstance(x, Move):
         return (8, _reference_canon_key(x.label), _reference_canon_key(x.target))
     if isinstance(x, Done):
         return (9, _reference_canon_key(x.terminal))
     if isinstance(x, MonadValue):
-        return (10, x.kind.value, _reference_canon_key(x.payload))
+        payload = x.payload
+        if x.kind is MonadKind.DOUBLE_POW:
+            payload = map(_reference_sorted, payload)
+        return (10, x.kind.value, _reference_canon_key(_reference_sorted(payload)))
     if isinstance(x, Tree):
         return (12, _reference_canon_key(x.symbol), _reference_canon_key(x.children))
     raise TypeError(f"no reference key for {x!r}")
+
+
+def _reference_sorted(items) -> tuple:
+    """Sorted by the reference key: pairs (weights, function entries) by
+    the whole pair, which orders them by their distinct first components."""
+    return tuple(sorted(items, key=_reference_canon_key))
 
 
 def _same_order(items: list) -> None:
@@ -582,19 +665,26 @@ def test_canon_key_order_on_trees_and_mixed_numbers():
 
 
 def test_cached_key_leaves_value_semantics_unchanged():
-    makers = [lambda: pow_value(["b", "a"]), lambda: sub_dist({"a": F(1, 4), "b": F(1, 2)}),
-              lambda: sub_dist({"b": 1}),
-              lambda: double_pow([["b"], ["a", "b"]]), lambda: pow_value([]),
-              lambda: FiniteFunc({"b": True, "a": F(1, 2)}),
-              lambda: pow_value([FiniteFunc({"a": pow_value(["x"])})])]
-    for make in makers:
-        keyed, fresh = make(), make()
+    # each value next to one built from its contents in another order, with repeats
+    makers = [(lambda: pow_value(["b", "a"]), lambda: pow_value(["a", "b", "a"])),
+              (lambda: sub_dist({"a": F(1, 4), "b": F(1, 2)}),
+               lambda: sub_dist([("b", F(1, 2)), ("a", F(1, 8)), ("a", F(1, 8))])),
+              (lambda: sub_dist({"b": 1}), lambda: sub_dist([("b", F(1, 2)), ("b", F(1, 2))])),
+              (lambda: double_pow([["b"], ["a", "b"]]),
+               lambda: double_pow([["b", "a"], ["b"], ["a", "b", "a"]])),
+              (lambda: pow_value([]), lambda: pow_value(())),
+              (lambda: FiniteFunc({"b": True, "a": F(1, 2)}),
+               lambda: FiniteFunc([("a", F(1, 2)), ("b", True)])),
+              (lambda: pow_value([FiniteFunc({"a": pow_value(["x"])})]),
+               lambda: pow_value([FiniteFunc({"a": pow_value(["x", "x"])})] * 2))]
+    for make, make_other in makers:
+        keyed, fresh, other = make(), make(), make_other()
         canon_key(keyed), hash(keyed)  # both cached on `keyed`, neither on `fresh`
         assert canon_key(keyed) is canon_key(keyed)
-        assert repr(keyed) == repr(fresh)
+        assert repr(keyed) == repr(fresh) == repr(other)
         assert dataclasses.asdict(keyed) == dataclasses.asdict(fresh)
         assert [f.name for f in dataclasses.fields(keyed)] == \
             [f.name for f in dataclasses.fields(fresh)]
-        assert keyed == fresh
-        field_values = tuple(getattr(fresh, f.name) for f in dataclasses.fields(fresh))
-        assert hash(keyed) == hash(fresh) == hash(field_values)
+        assert keyed == fresh == other
+        assert hash(keyed) == hash(fresh) == hash(other)
+        assert canon_key(keyed) == canon_key(fresh) == canon_key(other)
