@@ -165,7 +165,9 @@ def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
 
     Each layer, the trees up to one height, is built from the layer below:
     a symbol over every tuple of its trees, symbols in `canon_key` order,
-    which is the trees' own order.  Before it is built, the layer's trees
+    which is the trees' own order.  `node` runs once per tree: a tree that
+    a lower layer already holds keeps its value, found by its symbol and
+    its kids' places in `values`.  Before it is built, the layer's trees
     are counted against `guard` and then their nodes, summed over the
     trees, against `LETTER_GUARD`; `SizeGuardError` when either is
     exceeded.  A layer that adds no tree ends the unfolding.
@@ -173,9 +175,11 @@ def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
     if depth < 1:
         raise KernelError("tree depth must be >= 1")
     arities = [(s, signature[s]) for s in sorted(signature, key=canon_key)]
-    values, total = [], 0  # the trees' values and their nodes, summed
+    values: list = []  # every tree's value, each tree once, in the order first built
+    place: dict = {}  # (symbol, kids' places in values) -> the tree's place in values
+    layer, total = [], 0  # the places of the trees up to a height; their nodes, summed
     for _ in range(depth):
-        n = len(values)
+        n = len(layer)
         count = sum(n ** a for _, a in arities)
         if count > guard:
             raise SizeGuardError(f"{count} trees exceeds guard {guard}")
@@ -187,8 +191,16 @@ def unfold_trees(signature: Mapping[str, int], depth: int, node: Callable,
                 f"more than {LETTER_GUARD} nodes in the trees up to height {depth}")
         if count == n:  # a fixpoint: deeper layers add nothing either
             break
-        values = [node(s, kids) for s, a in arities for kids in product(values, repeat=a)]
-    return values
+        nxt = []
+        for s, a in arities:
+            for kids in product(layer, repeat=a):
+                i = place.get((s, kids))
+                if i is None:
+                    i = place[s, kids] = len(values)
+                    values.append(node(s, tuple(values[k] for k in kids)))
+                nxt.append(i)
+        layer = nxt
+    return [values[i] for i in layer]
 
 
 def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAULT_GUARD) -> list[Tree]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tests import gen
+from tests.fixtures import load
 from tracekit import languages
 from tracekit.engines import em_language, logic_language, step_view
 from tracekit.kernel import KernelError, MonadKind, Universe, canon_key
@@ -18,6 +19,8 @@ from tracekit.languages import (
     enumerate_words,
     explore_subsets,
     language_equal,
+    tree_name,
+    unfold_trees,
     word_at,
     word_position,
 )
@@ -119,6 +122,23 @@ def test_enumerate_trees_lists_canon_key_order_and_counts_its_nodes(signature, d
     monkeypatch.setattr(languages, "LETTER_GUARD", nodes - 1)
     with pytest.raises(SizeGuardError, match=f"more than {nodes - 1} nodes"):
         enumerate_trees(signature, depth)
+
+
+@pytest.mark.parametrize("signature, depth", [({"c": 0, "g": 1}, 631),
+                                              (load("tree_fc").signature, 5)],
+                         ids=["chain", "tree_fc"])
+def test_unfold_trees_calls_node_once_per_tree(signature, depth):
+    # a chain signature repeats every lower tree in every layer above it
+    calls = []
+
+    def node(symbol, kids):
+        calls.append(symbol)
+        return tree_name(symbol, kids)
+
+    names = unfold_trees(signature, depth, node)
+    assert len(calls) == len(names) == len(set(names))
+    if depth < 10:  # `repr` recurses once per level
+        assert names == [repr(t) for t in enumerate_trees(signature, depth)]
 
 
 def test_enumerate_trees_no_nullary():
