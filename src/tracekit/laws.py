@@ -190,9 +190,19 @@ def mate_rho2_of_rho4(kind: MonadKind, alphabet: Universe, rho4: Callable) -> Ca
 def _extend(kind: MonadKind, kappa: Callable, f: Callable, alphabet: Universe) -> Callable:
     """The free extension of `f` along `kappa`: map `f` over a branching
     value, push the packed (output, successors) pairs through `kappa` and
-    flatten each letter's branching successor."""
+    flatten each letter's branching successor.  Each value the extension
+    meets inside its inputs goes through `f` once: its packed pair is kept,
+    keyed by the value, for as long as the extension is."""
+    packed: dict = {}
+
+    def pack(v):
+        p = packed.get(v)
+        if p is None:
+            p = packed[v] = _pack(f(v))
+        return p
+
     def extended(tv: MonadValue):
-        om, fam = kappa(functor_map(kind, lambda v: _pack(f(v)), tv))
+        om, fam = kappa(functor_map(kind, pack, tv))
         return om, {a: monad_mu(kind, fam[a]) for a in alphabet}
 
     return extended

@@ -14,6 +14,7 @@ from tracekit.kernel import (
     canonical_alg,
     kappa_moore,
     lambda_generative,
+    monad_mu,
     monad_unit,
     omega_bot,
     omega_top,
@@ -258,3 +259,26 @@ def test_mate_round_trip_against_direct_form(kind, seed):
     for X in CARRIERS:
         for tv in t_pool(kind, _a_elements(A2, TERM, list(X)), rng, small=True):
             assert mated(tv) == direct(tv)
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POW, MonadKind.SUBDIST])
+def test_extension_pushes_each_value_through_its_transform_once(kind):
+    import random
+
+    from tracekit.laws import t_pool
+
+    rho2 = canonical_rho2(kind, A2)
+    seen = []
+
+    def counted(tv):
+        seen.append(tv)
+        return rho2(tv)
+
+    extended = mate_rho2_of_rho4(kind, A2, counted)
+    rng = random.Random(1)
+    pool1 = t_pool(kind, _a_elements(A2, TERM, ["x", "y"]), rng)
+    pool2 = t_pool(kind, pool1, rng, small=True)
+    for V in pool2:
+        assert extended(V) == rho2(monad_mu(kind, V))
+    inner = {v for V in pool2 for v in V.support}
+    assert len(seen) == len(set(seen)) == len(inner) < sum(len(V.support) for V in pool2)
