@@ -253,11 +253,8 @@ class MonadValue:
     payload: tuple
 
     def _contents(self) -> frozenset:
-        def compute():
-            if self.kind is MonadKind.DOUBLE_POW:
-                return frozenset(map(frozenset, self.payload))
-            return frozenset(self.payload)
-        return _cached(self, "_frozen", compute)
+        return _cached(self, "_frozen", lambda: frozenset(
+            map(frozenset, self.payload) if self.kind is MonadKind.DOUBLE_POW else self.payload))
 
     def __eq__(self, other):
         if other.__class__ is not MonadValue:
