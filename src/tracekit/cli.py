@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, NamedTuple, Optional
 
 from tracekit.engines import (
@@ -126,6 +127,12 @@ def show_value(v) -> Any:
     if isinstance(v, (int, Fraction)):
         return str(v)
     return repr(v)
+
+
+def show_ratio(n: int, d: int) -> str:
+    """`show_value(Fraction(n, d))` for `d > 0`, reduced by one `gcd`."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def parse_output(v, modality: Modality, where: str):
@@ -397,7 +404,9 @@ def _parse_semantic_state(raw, fields: dict, where: str) -> TruncatedLanguage:
 
 #: a semantic state: {"depth": n, "table": [[word, output], ...]} over every word up to n
 SEMANTIC_STATE = Codec(_parse_semantic_state, lambda lang, fields: {
-    "depth": lang.depth, "table": [[list(w), show_value(v)] for w, v in lang.items()]})
+    "depth": lang.depth,
+    "table": show_language(lang, [list(w) for w in enumerate_words(lang.alphabet, lang.depth)],
+                           {})})
 
 
 def _generalized(f: dict) -> GeneralizedCoalgebra:
@@ -542,11 +551,17 @@ def serialize_machine(machine) -> dict:
 # report building blocks
 
 
-def show_language(lang: TruncatedLanguage, words: list) -> list:
-    """The table as [word, value] pairs, `words` being its `enumerate_words`
-    list, each word as a list, built once per report; a boolean is printed
-    as it is, any other value by `show_value`."""
-    return [[w, v if type(v) is bool else show_value(v)] for w, v in zip(words, lang.values)]
+def show_language(lang: TruncatedLanguage, words: list, dens: dict) -> list:
+    """The table as [word, value] pairs.  `words` is its `enumerate_words`
+    list, each word as a list, and `dens` maps a column's `(D, L)` to its
+    entries' denominators, in the same order; a report builds each once and
+    passes them to every table it prints.  A boolean is printed as it is, a
+    numerator over its denominator by `show_ratio`."""
+    if lang.over is None:
+        return [[w, v] for w, v in zip(words, lang.column)]
+    if lang.over not in dens:
+        dens[lang.over] = lang.denominators()
+    return [[w, show_ratio(n, d)] for w, n, d in zip(words, lang.column, dens[lang.over])]
 
 
 def show_trace_set(ts: MonadValue) -> list:
@@ -649,8 +664,8 @@ def _semantics(machine, states: list, depth: int, engine: str) -> dict:
         view = step_view(machine)
         engine_language = em_language if engine == "em" else logic_language
         langs = engine_language(view, depth, states)
-        words = [list(w) for w in enumerate_words(view.alphabet, depth)]
-        return {x: {"language": show_language(langs[x], words)} for x in states}
+        words, dens = [list(w) for w in enumerate_words(view.alphabet, depth)], {}
+        return {x: {"language": show_language(langs[x], words, dens)} for x in states}
     if isinstance(machine, GenerativeCoalgebra) and engine == "kleisli":
         traces = kleisli_traces(machine, depth)
         out = {}
@@ -691,9 +706,9 @@ def _compare_report(machine, depth: int) -> dict:
     }
     if rep.machine_kind != "strange":
         alphabet = machine.labels if isinstance(machine, GenerativeCoalgebra) else machine.alphabet
-        words = [list(w) for w in enumerate_words(alphabet, depth)]
+        words, dens = [list(w) for w in enumerate_words(alphabet, depth)], {}
         out["languages"] = {
-            engine: [{"state": x, "language": show_language(langs[x], words)}
+            engine: [{"state": x, "language": show_language(langs[x], words, dens)}
                      for x in sorted(langs, key=canon_key)]
             for engine, langs in rep.languages.items()
         }

@@ -58,8 +58,12 @@ modality is its monad's own, `canonical_alg`.
 
 `L` and `D` are the step view's common denominators (see `StepView`): every
 transition weight is an integer over `L`, every output and semantic-table
-value an integer over `D`.  Each column entry of a subdistribution language
-is the one `Fraction` built from such an integer and its denominator.
+value an integer over `D`.  A subdistribution language is a column of the
+integers the engines compute, each over `D * L**k` for its word's length k,
+and carries `(D, L)` (see `languages.TruncatedLanguage`): `em_language` and
+`logic_language` hand over their numerators as they are, and `kbar` places
+each trace's mass as such a numerator, exactly or not at all.  No column
+entry is a `Fraction`; one is built only when a value is read.
 """
 
 from __future__ import annotations
@@ -295,10 +299,13 @@ class StepView:
       conjunct set of state i's step under `a`.
     * On a subdistribution view `scale` (`L`) is the lcm of every
       transition weight's denominator and `rows[a][i]` holds state i's
-      (j, `L` * weight) pairs; `denom` (`D`) is the lcm of the denominators
-      of every output and every semantic-table value, `int_out[i]` is `D` *
-      output, and `dens(k)` is `D * L**k`, the denominator of a value after
-      k letters.
+      (j, `L` * weight) pairs; `denom` (`D`) is the lcm of every output's
+      denominator and of `D' * L'**depth` for each semantic column over
+      `(D', L')` (for a table read from a file `L'` is 1 and `D'` the lcm
+      of its values' denominators), so `D * L**k` is a multiple of every
+      value's denominator after k letters; `int_out[i]` is `D` * output,
+      `dens(k)` is `D * L**k`, and `over` is `(D, L)`, which the view's
+      languages carry.
 
     `rows` and `int_out` are aligned with `states`; a semantic state has an
     empty row and output 0.
@@ -334,8 +341,8 @@ class StepView:
         self.rows = self._rows(lambda mv: tuple(
             (self.index[z], w.numerator * (self.scale // w.denominator)) for z, w in mv.payload))
         self.denom = lcm(*(v.denominator for v in self.out.values()),
-                         *(v.denominator for lang in self.semantic.values()
-                           for v in lang.values))
+                         *(lang.over[0] * lang.over[1] ** lang.depth
+                           for lang in self.semantic.values()))
         self.int_out = [self.out[y].numerator * (self.denom // self.out[y].denominator)
                         if y in self.out else 0 for y in self.states]
 
@@ -348,6 +355,10 @@ class StepView:
 
     def dens(self, k: int) -> int:
         return self.denom * self.scale ** k
+
+    @property
+    def over(self) -> Optional[tuple]:
+        return (self.denom, self.scale) if self.kind is MonadKind.SUBDIST else None
 
 
 def step_view(machine) -> StepView:
@@ -407,10 +418,12 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
     letter.  A machine with no states has an empty semantics.
 
     Subdistribution beliefs are integer vectors over `D * L**k` after k
-    letters, so a step multiplies by the view's integer rows and an entry
-    is one `Fraction`.  Powerset beliefs are state masks; a mask's successor
-    under each letter is computed once for all start states, and its output
-    is one `&` against the view's output mask.
+    letters, so a step multiplies by the view's integer rows, and an entry
+    is the belief's dot product with the integer outputs: the numerator over
+    `D * L**k` that the column holds, as the view's `over` says.  Powerset
+    beliefs are state masks; a mask's successor under each letter is
+    computed once for all start states, and its output is one `&` against
+    the view's output mask.
     """
     states = view.states if states is None else [view.states.require(x) for x in states]
     if not states:
@@ -418,8 +431,6 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
     _check_forward(view)
     if view.kind is MonadKind.SUBDIST:
         rows, out = view.rows, view.int_out
-        # every word's denominator D * L**len(w), the words counted against the budget first
-        word_dens = unfold_words(view.alphabet, depth, view.denom, lambda d, a: d * view.scale)
 
         def start(i: int) -> list:
             belief = [0] * len(out)
@@ -427,7 +438,7 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
             return belief
 
         def column(beliefs: list) -> list:
-            return [Fraction(sum(map(mul, b, out)), d) for b, d in zip(beliefs, word_dens)]
+            return [sum(map(mul, b, out)) for b in beliefs]
 
         def advance(belief: list, a) -> list:
             nxt = [0] * len(out)
@@ -457,7 +468,7 @@ def em_language(view: StepView, depth: int, states=None) -> dict:
             return nxt
 
     return {x: TruncatedLanguage(view.alphabet, depth, column(
-                unfold_words(view.alphabet, depth, start(view.index[x]), advance)))
+                unfold_words(view.alphabet, depth, start(view.index[x]), advance)), view.over)
             for x in states}
 
 
@@ -572,25 +583,38 @@ def kleisli_traces(gc: GenerativeCoalgebra, depth: int) -> dict:
 
 
 def kbar(ts: MonadValue, alphabet: Universe, depth: int,
-         terminal=CHECK) -> TruncatedLanguage:
+         terminal=CHECK, over: Optional[tuple] = None) -> TruncatedLanguage:
     """Collapse a branching value over traces to the language of words that
     terminate.
 
     Only single-terminal machines are supported: the table is the
     characteristic function (powerset) or per-word termination mass
     (subdistribution) of traces ending in `terminal`, filled in at each
-    trace's word position; traces longer than `depth` are left out.
+    trace's word position; traces longer than `depth` are left out.  A mass
+    is placed as its numerator over `D * L**len(word)`, `(D, L)` being
+    `over` (a step view's) or else (the lcm of the masses' denominators, 1);
+    a mass whose denominator does not divide that raises `KernelError`.
     """
     pow_ = ts.kind is MonadKind.POW
-    values = [False if pow_ else Fraction(0)] * count_words(len(alphabet), depth)
+    values = [False if pow_ else 0] * count_words(len(alphabet), depth)
     entries = [(t, True) for t in ts.payload] if pow_ else ts.payload
+    if not pow_:
+        d, scale = over or (lcm(*(m.denominator for (w, _), m in entries if len(w) <= depth)), 1)
+        dens = [d * scale ** k for k in range(depth + 1)]
     for (w, s), m in entries:
         if s != terminal:
             raise KernelError(f"trace terminal {s!r} is not {terminal!r}; "
                               "multi-terminal trace sets have no language collapse")
-        if len(w) <= depth:
-            values[word_position(alphabet, w)] = m
-    return TruncatedLanguage(alphabet, depth, values)
+        if len(w) > depth:
+            continue
+        if not pow_:
+            q, r = divmod(dens[len(w)], m.denominator)
+            if r:
+                raise KernelError(f"trace mass {m} of word {w!r} is not a multiple "
+                                  f"of 1/{dens[len(w)]}")
+            m = m.numerator * q
+        values[word_position(alphabet, w)] = m
+    return TruncatedLanguage(alphabet, depth, values, None if pow_ else (d, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +643,19 @@ def _suffix_pass(view: StepView, words: list, positions) -> tuple[dict, dict]:
     semantic = [(view.index[y], lang) for y, lang in view.semantic.items()]
 
     if view.alg is Modality.EXPECT:
+        # a semantic column's numerator after k letters, over its own
+        # D' * L'**k, times factor[i][k] is over the view's D * L**k
+        factor = {i: [view.dens(k) // (lang.over[0] * lang.over[1] ** k)
+                      for k in range(lang.depth + 1)] for i, lang in semantic}
+
         def start() -> list:
             return list(view.int_out)
 
         def step(a, tail: list) -> list:
             return [sum([q * tail[j] for j, q in row]) for row in rows[a]]
 
-        def look_up(t: list, i: int, v, k: int) -> list:
-            # D is a multiple of every table value's denominator
-            t[i] = v.numerator * (view.dens(k) // v.denominator)
+        def look_up(t: list, i: int, v: int, k: int) -> list:
+            t[i] = v * factor[i][k]
             return t
     else:
         def start() -> int:
@@ -662,7 +690,7 @@ def _suffix_pass(view: StepView, words: list, positions) -> tuple[dict, dict]:
             if len(w) > lang.depth:
                 p |= 1 << i
             else:
-                t = look_up(t, i, lang.values[pos], len(w))
+                t = look_up(t, i, lang.column[pos], len(w))
         vectors[w] = t
         if p:
             poison[w] = p
@@ -681,8 +709,9 @@ def _underflow(view: StepView, poison: dict, y, w: tuple) -> KernelError:
 
 
 def _state_column(view: StepView, vectors: dict, poison: dict, x, words) -> list:
-    """State `x`'s values on `words`, in order, read from `_suffix_pass`
-    results; the first poisoned entry among them raises."""
+    """State `x`'s column on `words`, in order, read from `_suffix_pass`
+    results: booleans, or numerators over `view.dens(len(word))`; the first
+    poisoned entry among them raises."""
     i = view.index[x]
     bit = 1 << i
     if poison:
@@ -690,8 +719,7 @@ def _state_column(view: StepView, vectors: dict, poison: dict, x, words) -> list
             if poison.get(w, 0) & bit:
                 raise _underflow(view, poison, x, w)
     if view.alg is Modality.EXPECT:
-        dens = list(map(view.dens, range(max(map(len, words)) + 1)))
-        return [Fraction(vectors[w][i], dens[len(w)]) for w in words]
+        return [vectors[w][i] for w in words]
     return [(vectors[w] & bit) != 0 for w in words]
 
 
@@ -707,7 +735,8 @@ def logic_eval(view: StepView, x, word) -> object:
     suffixes = [word[k:] for k in range(len(word), -1, -1)]
     vectors, poison = _suffix_pass(view, suffixes,
                                    [word_position(view.alphabet, w) for w in suffixes])
-    return _state_column(view, vectors, poison, x, [word])[0]
+    value = _state_column(view, vectors, poison, x, [word])[0]
+    return Fraction(value, view.dens(len(word))) if view.alg is Modality.EXPECT else value
 
 
 def logic_language(view: StepView, depth: int, states=None) -> dict:
@@ -724,7 +753,7 @@ def logic_language(view: StepView, depth: int, states=None) -> dict:
     words = enumerate_words(view.alphabet, depth)
     vectors, poison = _suffix_pass(view, words, range(len(words)))
     return {x: TruncatedLanguage(view.alphabet, depth,
-                                 _state_column(view, vectors, poison, x, words))
+                                 _state_column(view, vectors, poison, x, words), view.over)
             for x in states}
 
 
@@ -869,7 +898,7 @@ def compare_semantics(machine, depth: int) -> SemanticsReport:
         langs["logic"] = logic_language(view, depth)
         if generative:
             terminal = machine.terminals.elements[0]
-            langs["kleisli"] = {x: kbar(traces[x], view.alphabet, depth, terminal)
+            langs["kleisli"] = {x: kbar(traces[x], view.alphabet, depth, terminal, view.over)
                                 for x in machine.states}
         engines = list(langs)
         verdicts = [PairVerdict(ea, eb, x, *language_equal(langs[ea][x], langs[eb][x]))

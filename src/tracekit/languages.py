@@ -2,11 +2,18 @@
 
 A truncated language is a total table from all words up to a fixed depth to
 output values; it is the finite stand-in for the infinite language spaces
-the engines converge to.  It is held as one column of values in
-`enumerate_words` order, the one word order, which only this module knows
-(`unfold_words`, `word_position`, `word_at`).  The words up to length k are
-the first entries of every longer list, so a word has the same position in
-every column deep enough to hold it.  Trees up to a height are unfolded
+the engines converge to.  It is held as one column in `enumerate_words`
+order, the one word order, which only this module knows (`unfold_words`,
+`word_position`, `word_at`).  The words up to length k are the first
+entries of every longer list, so a word has the same position in every
+column deep enough to hold it.  A boolean column holds the values.  A
+rational column holds integers: entry i is a numerator over `D * L**k`,
+k the length of word i, and the language carries `(D, L)` -- on a
+subdistribution machine these are the step view's denominators, so the
+engines hand over the integers they compute and two of their columns
+compare as integer lists; a rational table from outside is held the same
+way, over `(lcm of its denominators, 1)`.  `Fraction`s appear only when a
+value is read.  Trees up to a height are unfolded
 here too, the way words are: `unfold_trees` folds every tree from its
 kids' values, one layer of trees from the layer below, each layer counted
 before it is built.  `enumerate_trees`, the tree engine's columns and the
@@ -19,8 +26,10 @@ branching value over (word, terminal) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from math import lcm
+from typing import Callable, Iterable, Mapping, Optional
 
 from tracekit.kernel import KernelError, Universe, canon_key
 
@@ -213,33 +222,62 @@ def enumerate_trees(signature: Mapping[str, int], depth: int, guard: int = DEFAU
 # truncated languages
 
 
-@dataclass
+@dataclass(eq=False)
 class TruncatedLanguage:
     """Total map from words of length <= depth to output values, held as
-    the column `values`: entry i is the value of word i of
-    `enumerate_words(alphabet, depth)`."""
+    the column `column`: entry i is the value of word i of
+    `enumerate_words(alphabet, depth)`.
+
+    `over` is `None` on a boolean column, whose entries are the values.  On
+    a rational column it is `(D, L)`, and entry i is an integer: the value's
+    numerator over `D * L**len(word i)`.  `.value`, `.table` and `.items()`
+    give the values as `Fraction`s; `==` is value equality, whatever the
+    denominators.
+    """
 
     alphabet: Universe
     depth: int
-    values: list
+    column: list
+    over: Optional[tuple] = None
 
     def __post_init__(self):
         """An engine's column is checked by its length.  Anything else is a
         table from outside, `{word: value}`, which must be total; it becomes
-        the column."""
-        if isinstance(self.values, list):
-            if len(self.values) != count_words(len(self.alphabet), self.depth):
+        the column.  A column of values that does not start with a boolean,
+        from outside or from a list without `over`, is rational: it is held
+        over `(D, 1)`, `D` the lcm of its denominators."""
+        column = self.column
+        if isinstance(column, list):
+            if len(column) != count_words(len(self.alphabet), self.depth):
                 raise ShapeMismatchError(
                     f"column must hold one value per word of length <= {self.depth}")
-            return
-        table, words = self.values, enumerate_words(self.alphabet, self.depth)
-        try:
-            if len(table) == len(words):
-                self.values = [table[w] for w in words]
-                return
-        except KeyError:
-            pass
-        raise ShapeMismatchError(f"table must be total on words of length <= {self.depth}")
+        else:
+            table, words = column, enumerate_words(self.alphabet, self.depth)
+            try:
+                if len(table) != len(words):
+                    raise KeyError
+                column = [table[w] for w in words]
+            except KeyError:
+                raise ShapeMismatchError(
+                    f"table must be total on words of length <= {self.depth}") from None
+        if self.over is None and type(column[0]) is not bool:
+            for i, v in enumerate(column):
+                if type(v) is bool or not isinstance(v, (int, Fraction)):
+                    raise KernelError(f"entry {v!r} at word {word_at(self.alphabet, i)!r} "
+                                      "is not a rational, as the column's first entry is")
+            d = lcm(*(v.denominator for v in column))
+            column = [v.numerator * (d // v.denominator) for v in column]
+            self.over = (d, 1)
+        self.column = column
+
+    def denominators(self) -> list:
+        """Each entry's denominator `D * L**k`, in column order: one power
+        per length.  Rational columns only."""
+        d, scale = self.over
+        n, dens = len(self.alphabet), []
+        for k in range(self.depth + 1):
+            dens += [d * scale ** k] * n ** k
+        return dens
 
     @property
     def table(self) -> dict:
@@ -249,17 +287,54 @@ class TruncatedLanguage:
         word = tuple(word)
         if len(word) > self.depth:
             raise KernelError(f"word {word!r} beyond truncation depth {self.depth}")
-        return self.values[word_position(self.alphabet, word)]
+        v = self.column[word_position(self.alphabet, word)]
+        if self.over is None:
+            return v
+        d, scale = self.over
+        return Fraction(v, d * scale ** len(word))
 
     def items(self):
-        return zip(enumerate_words(self.alphabet, self.depth), self.values)
+        words = enumerate_words(self.alphabet, self.depth)
+        if self.over is None:
+            return zip(words, self.column)
+        return zip(words, map(Fraction, self.column, self.denominators()))
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedLanguage):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self.depth == other.depth
+                and (self.over is None) == (other.over is None)
+                and _first_difference(self, other) is None)
+
+
+def _first_difference(l1: TruncatedLanguage, l2: TruncatedLanguage) -> Optional[int]:
+    """The first position at which two columns of one shape and one kind
+    differ in value, or `None`.  Columns over the same denominators compare
+    entry by entry; others cross-multiply, one length at a time."""
+    a, b = l1.column, l2.column
+    if l1.over == l2.over:
+        if a == b:
+            return None
+        return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
+    (d1, s1), (d2, s2) = l1.over, l2.over
+    n, start, level = len(l1.alphabet), 0, 1
+    for k in range(l1.depth + 1):
+        # a[i] / (d1 * s1**k) == b[i] / (d2 * s2**k), for the words of length k
+        f, g = d2 * s2 ** k, d1 * s1 ** k
+        for i in range(start, start + level):
+            if a[i] * f != b[i] * g:
+                return i
+        start, level = start + level, level * n
+    return None
 
 
 def language_equal(l1: TruncatedLanguage, l2: TruncatedLanguage):
-    """Column equality; on failure also return the first differing word."""
+    """Value equality of two columns; on failure also return the first
+    differing word.  `ShapeMismatchError` unless both have one alphabet,
+    one depth, and are both boolean or both rational."""
     if l1.alphabet != l2.alphabet or l1.depth != l2.depth:
         raise ShapeMismatchError("languages have different alphabet or depth")
-    if l1.values == l2.values:
-        return True, None
-    i = next(i for i, (u, v) in enumerate(zip(l1.values, l2.values)) if u != v)
-    return False, word_at(l1.alphabet, i)
+    if (l1.over is None) != (l2.over is None):
+        raise ShapeMismatchError("a boolean and a rational language were compared")
+    i = _first_difference(l1, l2)
+    return (True, None) if i is None else (False, word_at(l1.alphabet, i))

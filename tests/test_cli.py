@@ -365,6 +365,16 @@ def test_semantic_table_is_kept_in_word_order(tmp_path):
     assert serialize_machine(parse_machine(str(p))) == serialize_machine(parse_machine(path))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_show_ratio_prints_what_show_value_prints(data):
+    # d is a column denominator D * L**k; n runs over [0, d], ends included
+    d = data.draw(st.integers(1, 10 ** 4)) * data.draw(st.integers(1, 48)) ** data.draw(
+        st.integers(0, 13))
+    n = data.draw(st.one_of(st.just(0), st.just(d), st.integers(0, d)))
+    assert cli.show_ratio(n, d) == cli.show_value(F(n, d))
+
+
 # ---------------------------------------------------------------------------
 # commands
 

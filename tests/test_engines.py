@@ -569,6 +569,94 @@ def test_kbar_respects_convex_combination():
         assert l_mixed.value(w) == half * l1.value(w) + half * l2.value(w)
 
 
+def test_kbar_places_each_mass_exactly_or_raises():
+    A = Universe(["a"])
+    ts = sub_dist({((), CHECK): F(1, 2), (("a",), CHECK): F(1, 3)})
+    lang = kbar(ts, A, 1, CHECK, (2, 3))
+    assert (lang.column, lang.over) == ([1, 2], (2, 3))
+    assert lang.table == {(): F(1, 2), ("a",): F(1, 3)}
+    own = kbar(ts, A, 1)  # over the lcm of the masses' denominators
+    assert (own.column, own.over) == ([3, 2], (6, 1)) and own == lang
+    # 1/3 is no whole number of 1/(2 * 4): no entry is rounded
+    with pytest.raises(KernelError, match=r"trace mass 1/3 of word \('a',\) is not a multiple "
+                                          r"of 1/8"):
+        kbar(ts, A, 1, CHECK, (2, 4))
+
+
+def _subdistribution_machines():
+    for seed in range(15):
+        yield gen.random_moore(seed, "pa")
+        yield gen.random_generative(seed, MonadKind.SUBDIST)
+
+
+def _first_table_difference(l1, l2):
+    t1, t2 = l1.table, l2.table
+    return next((w for w in t1 if t1[w] != t2[w]), None)
+
+
+def test_subdistribution_columns_are_integers_over_the_view():
+    # every column compare builds holds int numerators over the view's (D, L);
+    # read back, they are the Fraction references' values
+    for m in _subdistribution_machines():
+        view = step_view(m)
+        generative = isinstance(m, GenerativeCoalgebra)
+        rep = compare_semantics(m, 3)
+        assert rep.engines == (["em", "logic", "kleisli"] if generative else ["em", "logic"])
+        for engine, langs in rep.languages.items():
+            for x, lang in langs.items():
+                assert lang.over == view.over and {type(n) for n in lang.column} == {int}
+                for w, value in lang.items():
+                    expected = (oracles.generative_value(m, x, w) if generative
+                                else oracles.moore_value(m, x, w))
+                    assert value == expected == em_eval(view, x, w), (engine, m, x, w)
+        # language_equal and == against a plain scan of the Fraction tables
+        logic = rep.languages["logic"]
+        for x in m.states:
+            for y in m.states:
+                first = _first_table_difference(logic[x], logic[y])
+                assert language_equal(logic[x], logic[y]) == (first is None, first)
+                assert (logic[x] == logic[y]) is (first is None)
+
+
+def _rescaled(lang: TruncatedLanguage) -> TruncatedLanguage:
+    """The same language over (3 D, 2 L)."""
+    d, scale = lang.over
+    lengths = [len(w) for w in enumerate_words(lang.alphabet, lang.depth)]
+    return TruncatedLanguage(lang.alphabet, lang.depth,
+                             [v * 3 * 2 ** k for v, k in zip(lang.column, lengths)],
+                             (d * 3, scale * 2))
+
+
+def test_one_language_over_two_denominators_is_equal():
+    reduced = 0  # languages whose table from outside has other denominators
+    for m in _subdistribution_machines():
+        langs = em_language(step_view(m), 3)
+        for x, lang in langs.items():
+            rescaled = _rescaled(lang)
+            from_table = TruncatedLanguage(lang.alphabet, 3, lang.table)
+            assert from_table.over[1] == 1
+            reduced += from_table.over != lang.over
+            for other in (rescaled, from_table):
+                assert lang == other and other == lang
+                assert language_equal(lang, other) == language_equal(other, lang) == (True, None)
+                assert other.table == lang.table
+            for y in m.states:
+                first = _first_table_difference(lang, langs[y])
+                assert language_equal(rescaled, langs[y]) == (first is None, first)
+    assert reduced > 10
+
+
+def test_a_semantic_column_over_any_denominators_gives_the_same_languages():
+    # the files' semantic columns are over (D', 1); over (3 D', 2) the step
+    # view's D and each looked-up numerator must still be exact
+    for seed in range(15):
+        g = gen.random_generalized(seed, "pa", 3)
+        c = {y: ("lang", _rescaled(body)) if tag == "lang" else (tag, body)
+             for y, (tag, body) in g.c.items()}
+        h = GeneralizedCoalgebra(g.states, g.alphabet, g.kind, g.alg, c)
+        assert logic_language(step_view(h), 3) == logic_language(step_view(g), 3)
+
+
 # ---------------------------------------------------------------------------
 # logical engine
 

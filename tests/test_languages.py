@@ -235,6 +235,20 @@ def test_language_equal_reflexive_and_first_difference():
     assert language_equal(l1, l2) == (False, ())
 
 
+def test_boolean_and_rational_columns_never_compare_equal():
+    A = Universe(["a", "b"])
+    booleans = TruncatedLanguage(A, 1, [True, False, True])
+    for rational in (TruncatedLanguage(A, 1, [1, 0, 1]), TruncatedLanguage(A, 1, [1, 0, 1], (1, 1))):
+        assert rational.over == (1, 1) and booleans.over is None
+        for l1, l2 in ((booleans, rational), (rational, booleans)):
+            with pytest.raises(ShapeMismatchError, match="a boolean and a rational"):
+                language_equal(l1, l2)
+            assert l1 != l2
+    # a column that starts with a rational holds no boolean
+    with pytest.raises(KernelError, match=r"entry True at word \('a',\) is not a rational"):
+        TruncatedLanguage(A, 1, [Fraction(1, 2), True, 0])
+
+
 def test_language_equal_shape_mismatch():
     A = Universe(["a"])
     l1 = TruncatedLanguage(A, 0, [False])
